@@ -55,9 +55,9 @@ class BandedBlockKernel(StageBlockKernel):
         "back dense) with the match-score plane spot-checked against "
         "match_score on the first and last rows; per call the input width "
         "must equal the stage-lo band width and the registry cross-checks "
-        "the first block stage (values, preds, and capture state) against "
-        "the dense kernel bit-for-bit; the width-1 selector stage always "
-        "runs dense"
+        "the first and last kernel-computed block stages (values, preds, "
+        "and capture state) against the dense kernel bit-for-bit; the "
+        "width-1 selector stage always runs dense"
     )
 
     def fingerprint(self, problem) -> tuple:
@@ -228,7 +228,12 @@ class BandedBlockKernel(StageBlockKernel):
             if zero_index is None and np.all(np.isneginf(tv)):
                 zero_index = k
         return BlockSweep(
-            values=values, preds=preds, states=states, costs=costs, zero_index=zero_index
+            values=values,
+            preds=preds,
+            states=states,
+            costs=costs,
+            zero_index=zero_index,
+            dense_tail=len(values) - k,
         )
 
     @staticmethod

@@ -12,8 +12,9 @@ exactly like the PR 5 sparse fix-up kernel.  Plans are only built when
 the problem's transforms are provably representable in the kernel's
 layout; every dispatch re-checks its input against the dense kernel's
 expectations and returns ``None`` (automatic dense fallback) on any
-mismatch; and the registry cross-checks the first block stage against
-the dense per-stage kernel bit-for-bit before accepting a sweep
+mismatch; and the registry cross-checks the first and last
+kernel-computed block stages against the dense per-stage kernel
+bit-for-bit before accepting a sweep
 (:func:`repro.kernels.registry.block_sweep`).  Each kernel class
 documents its gate in ``bit_identity_gate`` — a declaration the
 registry enforces at registration time and ``repro lint`` (REP006)
@@ -50,6 +51,10 @@ class BlockSweep:
     #: hoisted out of the per-stage loop so the spec can raise the same
     #: ZeroVectorError the dense path would, without a per-stage scan.
     zero_index: int | None
+    #: Trailing stages computed by the problem's own dense per-stage
+    #: method (the width-1 selector), which the registry's last-stage
+    #: gate skips: its target is the last *kernel-computed* stage.
+    dense_tail: int = 0
 
 
 class StageBlockKernel:

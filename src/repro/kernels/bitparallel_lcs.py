@@ -54,8 +54,9 @@ class BitParallelLCSKernel(StageBlockKernel):
         "and no negative zeros, and the block is accepted only when a "
         "dense-op scan replay of the decoded rows reproduces them "
         "byte-for-byte (inductive exactness proof from the input vector); "
-        "the registry additionally cross-checks the first stage against "
-        "the dense kernel and the selector stage always runs dense"
+        "the registry additionally cross-checks the first and last "
+        "kernel-computed stages against the dense kernel and the selector "
+        "stage always runs dense"
     )
 
     def fingerprint(self, problem) -> tuple:
@@ -196,7 +197,12 @@ class BitParallelLCSKernel(StageBlockKernel):
             if np.all(np.isneginf(tv)):
                 zero_index = k
         return BlockSweep(
-            values=values, preds=pred_list, states=states, costs=costs, zero_index=zero_index
+            values=values,
+            preds=pred_list,
+            states=states,
+            costs=costs,
+            zero_index=zero_index,
+            dense_tail=len(values) - k,
         )
 
     def price(self, problem, plan, path):

@@ -7,12 +7,13 @@ fingerprint — problems are re-pickled into every pool worker, so
 identity-keyed caching would never hit.
 
 Every accepted dispatch is re-proven: :func:`block_sweep` recomputes
-the first block stage with the problem's own dense per-stage kernel
-and compares values byte-for-byte (catching even ``-0.0`` sign flips),
-predecessors exactly, and — when §4.7 capture is on — every captured
-state plane.  Any disagreement silently discards the sweep and the
-caller runs the dense loop, which also owns raising proper errors for
-genuinely invalid inputs.
+the first block stage, and the last kernel-computed stage from the
+sweep's own previous stage, with the problem's own dense per-stage
+kernel and compares values byte-for-byte (catching even ``-0.0`` sign
+flips), predecessors exactly, and — when §4.7 capture is on — every
+captured state plane.  Any disagreement silently discards the sweep
+and the caller runs the dense loop, which also owns raising proper
+errors for genuinely invalid inputs.
 """
 
 from __future__ import annotations
@@ -95,27 +96,40 @@ def warm_kernels(problem) -> int:
     return built
 
 
-def _first_stage_matches(problem, lo, v, sweep, capture_state) -> bool:
+def _stage_matches(problem, i, v, sweep, r, capture_state) -> bool:
+    """Re-derive stage ``i`` (sweep row ``r``) densely from input ``v``."""
     try:
         if capture_state:
-            dv, dp, ds = problem.apply_stage_with_state(lo + 1, v)
+            dv, dp, ds = problem.apply_stage_with_state(i, v)
         else:
-            dv, dp = problem.apply_stage_with_pred(lo + 1, v)
+            dv, dp = problem.apply_stage_with_pred(i, v)
             ds = None
     except Exception:
         return False  # dense path owns raising this properly, in context
-    kv = np.asarray(sweep.values[0])
-    kp = np.asarray(sweep.preds[0])
+    kv = np.asarray(sweep.values[r])
+    kp = np.asarray(sweep.preds[r])
     if kv.shape != dv.shape or kv.tobytes() != dv.tobytes():
         return False
     if not np.array_equal(kp, dp):
         return False
     if capture_state:
-        if sweep.states is None or len(sweep.states) == 0:
+        if sweep.states is None or len(sweep.states) <= r:
             return False
-        if not _states_equal(sweep.states[0], ds):
+        if not _states_equal(sweep.states[r], ds):
             return False
     return True
+
+
+def _sweep_matches(problem, lo, v, sweep, capture_state) -> bool:
+    """The dispatch gate: first and last kernel-computed stages."""
+    if not _stage_matches(problem, lo + 1, v, sweep, 0, capture_state):
+        return False
+    last = len(sweep.values) - 1 - sweep.dense_tail
+    if last < 1:
+        return True
+    return _stage_matches(
+        problem, lo + 1 + last, sweep.values[last - 1], sweep, last, capture_state
+    )
 
 
 def _states_equal(kernel_state, dense_state) -> bool:
@@ -141,7 +155,8 @@ def block_sweep(problem, lo: int, hi: int, v, *, capture_state: bool = False) ->
     """One fast-path dispatch over stages ``lo+1 .. hi``, or ``None``.
 
     Tries each registered kernel in order; a sweep is returned only
-    after the first block stage has been re-derived densely and matched
+    after its first and last kernel-computed stages have been re-derived
+    densely (the last from the sweep's own previous stage) and matched
     bit-for-bit.
     """
     for kernel in registered_kernels(type(problem)):
@@ -154,7 +169,7 @@ def block_sweep(problem, lo: int, hi: int, v, *, capture_state: bool = False) ->
             sweep = None
         if sweep is None or not sweep.values:
             continue
-        if _first_stage_matches(problem, lo, v, sweep, capture_state):
+        if _sweep_matches(problem, lo, v, sweep, capture_state):
             return sweep
     return None
 

@@ -47,9 +47,9 @@ class ViterbiBlockKernel(StageBlockKernel):
         "plan built only when the trellis satisfies pred[:,1] == pred[:,0]+1 "
         "and the preplanned branch-metric matrix reproduces _branch_metrics "
         "row-for-row; per call the input must be a float64 vector of width S "
-        "and the registry cross-checks the first block stage against "
-        "apply_stage_with_pred bit-for-bit, falling back to the dense path "
-        "otherwise; selector stages always run dense"
+        "and the registry cross-checks the first and last kernel-computed "
+        "block stages against apply_stage_with_pred bit-for-bit, falling "
+        "back to the dense path otherwise; selector stages always run dense"
     )
 
     def fingerprint(self, problem) -> tuple:
@@ -153,7 +153,12 @@ class ViterbiBlockKernel(StageBlockKernel):
             if zero_index is None and np.all(np.isneginf(tv)):
                 zero_index = k
         return BlockSweep(
-            values=values, preds=preds, states=None, costs=costs, zero_index=zero_index
+            values=values,
+            preds=preds,
+            states=None,
+            costs=costs,
+            zero_index=zero_index,
+            dense_tail=len(values) - k,
         )
 
     @staticmethod

@@ -316,11 +316,12 @@ def repair_forward_phase(
     The serve layer's cache-hit path: instead of re-running the initial
     pass, each processor whose range contains a dirty stage (a stage
     whose transform differs from the resident canonical solve) sweeps
-    once with a :class:`DeltaRepairSpec` — dense recompute at the dirty
-    stages, sparse §4.7 repair elsewhere — and the ordinary fix-up loop
-    then propagates whatever survived past the range boundaries.  The
-    runtime's worker-side problem must already be rebound to ``problem``
-    (see ``PoolRuntime.rebind_problem``).
+    once with a :class:`DeltaRepairSpec` — one block-kernel sweep where
+    the kernel tier accepts the range, else dense recompute at the dirty
+    stages and sparse §4.7 repair elsewhere — and the ordinary fix-up
+    loop then propagates whatever survived past the range boundaries.
+    The runtime's worker-side problem must already be rebound to
+    ``problem`` (see ``PoolRuntime.rebind_problem``).
 
     Requires the resident state produced by a previous
     :func:`forward_phase` / ``repair_forward_phase`` on the same ranges:
@@ -371,6 +372,7 @@ def repair_forward_phase(
                     use_delta=opts.use_delta,
                     sparse=sparse,
                     crossover=crossover,
+                    use_kernels=use_kernels,
                     dirty=tuple(mine),
                 )
             )

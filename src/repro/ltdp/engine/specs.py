@@ -237,14 +237,17 @@ class ForwardFixupSpec(SuperstepSpec):
     vectors (:meth:`is_converged`), with the problem's tolerance baked
     into the spec.
 
-    In delta mode (``use_delta``), problems with a sparse kernel
+    With ``use_kernels`` the whole range is swept in one block-kernel
+    dispatch (capturing §4.7 state when ``sparse``); the per-stage loop
+    is the fallback when no kernel accepts the range.  On that loop, in
+    delta mode (``use_delta``), problems with a sparse kernel
     (``sparse``) propagate only the changed positions through each
     resident stage via
     :meth:`~repro.ltdp.problem.LTDPProblem.apply_stage_sparse`, falling
-    back to the dense kernel past the ``crossover`` changed fraction;
-    the charged work is the cells actually touched either way.
-    Problems without a sparse kernel run dense and charge the modeled
-    §4.7 cost (:func:`~repro.ltdp.delta.delta_fixup_work`).
+    back to the dense kernel past the ``crossover`` changed fraction,
+    and charge the cells actually touched.  Every other delta-mode
+    sweep charges the modeled §4.7 cost
+    (:func:`~repro.ltdp.delta.delta_fixup_work`).
     """
 
     boundary: np.ndarray | None = None
@@ -253,166 +256,31 @@ class ForwardFixupSpec(SuperstepSpec):
     #: Sparse alternative to ``boundary``: applied to the resident copy
     #: of last round's input boundary (``store.get_fixup_input(lo)``).
     boundary_diff: BoundaryDiff | None = None
-    #: Run the problem's sparse fix-up kernel (delta mode + the problem
+    #: Keep §4.7 per-stage state resident and run the problem's sparse
+    #: fix-up kernel on the per-stage path (delta mode + the problem
     #: advertises ``supports_sparse_fixup``).
     sparse: bool = False
     #: Changed-input fraction above which the sparse kernel defers to
     #: the dense one.
     crossover: float = 0.25
-    #: Dispatch through the raw-speed kernel tier (dense mode only; the
-    #: sparse §4.7 path repairs against resident per-stage state, which
-    #: a block dispatch cannot consult).
+    #: Dispatch through the raw-speed kernel tier first.  In sparse mode
+    #: the block sweep captures fresh §4.7 state for every stage it
+    #: computes, so it needs none of the resident state.
     use_kernels: bool = False
+
+    #: Phase name in zero-vector errors.
+    _what = "fix-up"
+    #: Report ``repaired_deltas`` (repair specs only: the per-stage
+    #: count costs a delta encode of both vectors).
+    _counts_repairs = False
 
     def is_converged(self, new: np.ndarray, stored: np.ndarray) -> bool:
         """The fix-up convergence predicate (§4.2 rank convergence)."""
         return are_parallel(new, stored, tol=self.tol)
 
-    def execute(self, problem: LTDPProblem, store: StageStore) -> SpecResult:
-        if self.boundary_diff is not None:
-            base = store.get_fixup_input(self.lo)
-            if base is None:
-                raise ZeroVectorError(
-                    f"processor {self.proc} received a boundary diff but "
-                    "has no resident input boundary to apply it to"
-                )
-            v = self.boundary_diff.apply(base)
-        else:
-            v = np.asarray(self.boundary, dtype=np.float64)
-        in_boundary = v
-        new_s: dict[int, np.ndarray] = {}
-        new_pred: dict[int, np.ndarray] = {}
-        new_states: dict[int, object] = {}
-        work = 0.0
-        stages_done = 0
-        converged = False
-        if self.use_kernels and not self.sparse:
-            sweep_result = self._execute_block(problem, store, v, in_boundary)
-            if sweep_result is not None:
-                return sweep_result
-        for i in self.stages():
-            sparse_cells: float | None = None
-            if self.sparse:
-                res = problem.apply_stage_sparse(
-                    i, v, store.get_fixup_state(i), self.crossover
-                )
-                if res is not None:
-                    v, p, st, sparse_cells = res
-                    new_states[i] = st
-            if sparse_cells is None:
-                if self.sparse:
-                    # Dense fallback (no cache yet, or past crossover):
-                    # recapture state so the next round can go sparse.
-                    v, p, st = problem.apply_stage_with_state(i, v)
-                    new_states[i] = st
-                else:
-                    v, p = problem.apply_stage_with_pred(i, v)
-            if is_zero_vector(v):
-                raise ZeroVectorError(
-                    f"stage {i} produced an all--inf vector in fix-up"
-                )
-            new_pred[i] = p
-            old = store.get_s(i)
-            if sparse_cells is not None:
-                work += sparse_cells
-            elif self.use_delta and not self.sparse:
-                # Modeled §4.7 cost for problems without a sparse kernel.
-                work += delta_fixup_work(old, v)
-            else:
-                work += problem.stage_cost(i)
-            stages_done += 1
-            if self.is_converged(v, old):
-                converged = True
-                break
-            new_s[i] = v
-        # On early convergence the stored suffix (including the range
-        # final) is untouched, so the advertised boundary is the stored
-        # one; otherwise the sweep rewrote through the end of the range.
-        boundary = new_s[self.hi] if self.hi in new_s else store.get_s(self.hi)
-        return SpecResult(
-            proc=self.proc,
-            work=work,
-            s_updates=new_s,
-            pred_updates=new_pred,
-            stages_done=stages_done,
-            converged=converged,
-            boundary=boundary,
-            fixup_state_updates=new_states,
-            fixup_input=(self.lo, in_boundary) if self.use_delta else None,
-        )
-
-    def _execute_block(self, problem, store, v, in_boundary) -> SpecResult | None:
-        """Kernel-tier fix-up sweep: one dispatch, then the same per-stage
-        convergence/zero/work walk as the dense loop, in dense order."""
-        from repro.kernels import block_sweep
-
-        sweep = block_sweep(problem, self.lo, self.hi, v, capture_state=False)
-        if sweep is None:
-            return None
-        new_s: dict[int, np.ndarray] = {}
-        new_pred: dict[int, np.ndarray] = {}
-        work = 0.0
-        stages_done = 0
-        converged = False
-        for r, i in enumerate(self.stages()):
-            if sweep.zero_index is not None and r == sweep.zero_index:
-                raise ZeroVectorError(
-                    f"stage {i} produced an all--inf vector in fix-up"
-                )
-            nv = sweep.values[r]
-            new_pred[i] = sweep.preds[r]
-            old = store.get_s(i)
-            if self.use_delta:
-                work += delta_fixup_work(old, nv)
-            else:
-                work += float(sweep.costs[r])
-            stages_done += 1
-            if self.is_converged(nv, old):
-                converged = True
-                break
-            new_s[i] = nv
-        boundary = new_s[self.hi] if self.hi in new_s else store.get_s(self.hi)
-        return SpecResult(
-            proc=self.proc,
-            work=work,
-            s_updates=new_s,
-            pred_updates=new_pred,
-            stages_done=stages_done,
-            converged=converged,
-            boundary=boundary,
-            fixup_input=(self.lo, in_boundary) if self.use_delta else None,
-        )
-
-
-@dataclass(frozen=True)
-class DeltaRepairSpec(ForwardFixupSpec):
-    """Repair a *resident* solve against a mutated problem (serve cache hit).
-
-    The serve layer keeps a canonical solve resident in the workers and
-    answers a near-duplicate request — same family and shape, a few
-    mutated stages — by rebinding the worker-side problem and sweeping
-    each dirtied range once with this spec.  It is a
-    :class:`ForwardFixupSpec` with two twists:
-
-    - ``dirty`` names the stages whose transform changed.  Those stages
-      are recomputed **densely** (their cached §4.7 kernel state
-      describes the *old* transform and must be refreshed); clean
-      stages keep the sparse path, which costs ~nothing while the
-      propagated boundary is unchanged.
-    - The rank-convergence early exit is suppressed until the sweep has
-      passed the last dirty stage: before it, "new vector parallel to
-      stored" only means the perturbation has not been *reached* yet,
-      not that it has died out.
-
-    Past the last dirty stage the transforms match the resident state
-    again, so the standard fix-up argument applies unchanged and the
-    downstream ranges are handled by the ordinary fix-up loop.
-    ``repaired_deltas`` in the result counts the delta-space cells the
-    sweep actually changed — the serve layer's proof that a cache hit
-    took the repair path.
-    """
-
-    dirty: tuple[int, ...] = ()
+    def _dirty(self) -> frozenset[int]:
+        """Stages whose transform changed under the resident state."""
+        return frozenset()
 
     def execute(self, problem: LTDPProblem, store: StageStore) -> SpecResult:
         if self.boundary_diff is not None:
@@ -425,10 +293,19 @@ class DeltaRepairSpec(ForwardFixupSpec):
             v = self.boundary_diff.apply(base)
         else:
             v = np.asarray(self.boundary, dtype=np.float64)
+        if self.use_kernels:
+            result = self._execute_block(problem, store, v)
+            if result is not None:
+                return result
+        return self._execute_stages(problem, store, v)
+
+    def _execute_stages(self, problem, store, v) -> SpecResult:
+        """Per-stage sweep: sparse §4.7 repair where the resident state
+        allows it, dense otherwise."""
         in_boundary = v
-        dirty = frozenset(self.dirty)
-        # Stage indices, not tropical values: an empty dirty set means
-        # "nothing forced dense", so convergence may fire from the start.
+        dirty = self._dirty()
+        # Stage indices, not tropical values: with nothing dirty the
+        # convergence exit may fire from the first stage.
         last_dirty = max(dirty, default=self.lo)
         new_s: dict[int, np.ndarray] = {}
         new_pred: dict[int, np.ndarray] = {}
@@ -448,16 +325,16 @@ class DeltaRepairSpec(ForwardFixupSpec):
                     new_states[i] = st
             if sparse_cells is None:
                 if self.sparse:
-                    # Dirty stage, cache miss, or past crossover: dense
-                    # recompute with state capture so later sparse rounds
-                    # see the *new* transform's cached evaluation.
+                    # Dirty stage, no cache yet, or past crossover: dense
+                    # recompute with state capture so the next round can
+                    # go sparse against the current transform.
                     v, p, st = problem.apply_stage_with_state(i, v)
                     new_states[i] = st
                 else:
                     v, p = problem.apply_stage_with_pred(i, v)
             if is_zero_vector(v):
                 raise ZeroVectorError(
-                    f"stage {i} produced an all--inf vector in delta repair"
+                    f"stage {i} produced an all--inf vector in {self._what}"
                 )
             new_pred[i] = p
             old = store.get_s(i)
@@ -468,12 +345,69 @@ class DeltaRepairSpec(ForwardFixupSpec):
             else:
                 work += problem.stage_cost(i)
             stages_done += 1
-            if old.shape == v.shape:
+            if self._counts_repairs and old.shape == v.shape:
                 repaired += changed_delta_count(old, v)
             if i > last_dirty and self.is_converged(v, old):
                 converged = True
                 break
             new_s[i] = v
+        return self._result(
+            store, in_boundary, new_s, new_pred, new_states,
+            work, stages_done, converged, repaired,
+        )
+
+    def _execute_block(self, problem, store, v) -> SpecResult | None:
+        """Kernel-tier sweep: one dispatch, then the same per-stage
+        convergence/zero/work walk as :meth:`_execute_stages`, in
+        stage order.  ``None`` when no kernel accepts the range."""
+        from repro.kernels import block_sweep
+
+        sweep = block_sweep(problem, self.lo, self.hi, v, capture_state=self.sparse)
+        if sweep is None:
+            return None
+        last_dirty = max(self._dirty(), default=self.lo)
+        new_s: dict[int, np.ndarray] = {}
+        new_pred: dict[int, np.ndarray] = {}
+        new_states: dict[int, object] = {}
+        work = 0.0
+        stages_done = 0
+        converged = False
+        repaired = 0
+        for r, i in enumerate(self.stages()):
+            if r == sweep.zero_index:
+                raise ZeroVectorError(
+                    f"stage {i} produced an all--inf vector in {self._what}"
+                )
+            nv = sweep.values[r]
+            new_pred[i] = sweep.preds[r]
+            if self.sparse:
+                new_states[i] = sweep.states[r]
+            old = store.get_s(i)
+            changed = (
+                changed_delta_count(old, nv)
+                if self.use_delta or self._counts_repairs
+                else 0
+            )
+            work += changed + 1.0 if self.use_delta else float(sweep.costs[r])
+            stages_done += 1
+            if self._counts_repairs:
+                repaired += changed
+            if i > last_dirty and self.is_converged(nv, old):
+                converged = True
+                break
+            new_s[i] = nv
+        return self._result(
+            store, v, new_s, new_pred, new_states,
+            work, stages_done, converged, repaired,
+        )
+
+    def _result(
+        self, store, in_boundary, new_s, new_pred, new_states,
+        work, stages_done, converged, repaired,
+    ) -> SpecResult:
+        # On early convergence the stored suffix (including the range
+        # final) is untouched, so the advertised boundary is the stored
+        # one; otherwise the sweep rewrote through the end of the range.
         boundary = new_s[self.hi] if self.hi in new_s else store.get_s(self.hi)
         return SpecResult(
             proc=self.proc,
@@ -487,6 +421,44 @@ class DeltaRepairSpec(ForwardFixupSpec):
             fixup_input=(self.lo, in_boundary) if self.use_delta else None,
             repaired_deltas=repaired,
         )
+
+
+@dataclass(frozen=True)
+class DeltaRepairSpec(ForwardFixupSpec):
+    """Repair a *resident* solve against a mutated problem (serve cache hit).
+
+    The serve layer keeps a canonical solve resident in the workers and
+    answers a near-duplicate request — same family and shape, a few
+    mutated stages — by rebinding the worker-side problem and sweeping
+    each dirtied range once with this spec.  It is a
+    :class:`ForwardFixupSpec` with three twists:
+
+    - ``dirty`` names the stages whose transform changed.  The block
+      sweep recomputes every stage densely and captures fresh §4.7
+      state anyway; on the per-stage fallback the dirty stages are
+      forced dense (their cached state describes the *old* transform
+      and must be refreshed) while clean stages keep the sparse path,
+      which costs ~nothing while the propagated boundary is unchanged.
+    - The rank-convergence early exit is suppressed until the sweep has
+      passed the last dirty stage: before it, "new vector parallel to
+      stored" only means the perturbation has not been *reached* yet,
+      not that it has died out.
+    - ``repaired_deltas`` in the result counts the delta-space cells the
+      sweep actually changed — the serve layer's proof that a cache hit
+      took the repair path.
+
+    Past the last dirty stage the transforms match the resident state
+    again, so the standard fix-up argument applies unchanged and the
+    downstream ranges are handled by the ordinary fix-up loop.
+    """
+
+    dirty: tuple[int, ...] = ()
+
+    _what = "delta repair"
+    _counts_repairs = True
+
+    def _dirty(self) -> frozenset[int]:
+        return frozenset(self.dirty)
 
 
 @dataclass(frozen=True)

@@ -231,6 +231,83 @@ class TestRegistry:
         np.testing.assert_array_equal(sweep.values[-1], np.full(3, 1.0 + 2 + 3 + 4))
 
 
+class _LastStageLiar(StageBlockKernel):
+    """Test stub: a shipped kernel whose sweeps are right everywhere
+    except one cell of their last kernel-computed stage."""
+
+    bit_identity_gate = "test stub; every dispatch cross-checked like the real ones"
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = f"last-stage-liar/{inner.name}"
+
+    def fingerprint(self, problem):
+        return self.inner.fingerprint(problem)
+
+    def plan(self, problem):
+        return self.inner.plan(problem)
+
+    def run(self, problem, plan, lo, hi, v, *, capture_state=False):
+        sweep = self.inner.run(problem, plan, lo, hi, v, capture_state=capture_state)
+        if sweep is not None:
+            last = len(sweep.values) - 1 - sweep.dense_tail
+            bad = np.array(sweep.values[last], copy=True)
+            bad[int(np.argmax(bad))] += 3.0  # a finite cell
+            sweep.values[last] = bad
+        return sweep
+
+
+@pytest.fixture
+def last_stage_liars(monkeypatch):
+    """Replace every shipped kernel with its last-stage-lying wrapper."""
+    for problem_type, kernels in list(kregistry._KERNELS.items()):
+        monkeypatch.setitem(
+            kregistry._KERNELS,
+            problem_type,
+            tuple(_LastStageLiar(k) for k in kernels),
+        )
+    yield
+    reset_plan_cache()
+
+
+class TestLastStageGate:
+    """The gate re-derives the last kernel-computed stage from the
+    sweep's own previous stage, so a kernel wrong only there is caught."""
+
+    @pytest.mark.parametrize("capture", [False, True])
+    @pytest.mark.parametrize("name", ["lcs-full", "lcs-banded", "nw-sub", "vit-unterm"])
+    def test_lying_sweep_discarded(self, name, capture, last_stage_liars):
+        problem = PROBLEMS[name]
+        if capture and name.startswith("vit"):
+            pytest.skip("Viterbi has no sparse-kernel state capture")
+        v = problem.initial_vector()
+        for kernel in registered_kernels(type(problem)):
+            plan = kernel.plan(problem)
+            if plan is None:
+                continue
+            # The first stage is honest: only the new check can refuse it.
+            sweep = kernel.run(problem, plan, 0, 30, v, capture_state=capture)
+            if sweep is not None:
+                assert kregistry._stage_matches(problem, 1, v, sweep, 0, capture)
+        assert block_sweep(problem, 0, 30, v, capture_state=capture) is None
+        assert block_sweep(problem, 0, problem.num_stages, v, capture_state=capture) is None
+
+    @pytest.mark.parametrize("use_delta", [False, True])
+    @pytest.mark.parametrize("name", ["lcs-full", "lcs-banded", "nw-sub", "vit-hard"])
+    def test_solve_falls_back_bit_identical(self, name, use_delta, last_stage_liars):
+        from repro.ltdp.parallel import ParallelOptions, solve_parallel
+        from repro.ltdp.sequential import solve_sequential
+
+        problem = PROBLEMS[name]
+        opts = ParallelOptions(
+            num_procs=3, seed=2, use_kernels=True, use_delta=use_delta
+        )
+        got = solve_parallel(problem, opts)
+        want = solve_sequential(problem)
+        np.testing.assert_array_equal(got.path, want.path)
+        assert got.score == want.score
+
+
 class TestPlanCache:
     def test_equal_content_problems_share_one_plan(self):
         reset_plan_cache()
