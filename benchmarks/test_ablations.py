@@ -50,13 +50,20 @@ def test_ablation_delta_computation(nw_instance, report, benchmark):
     repairs only changed-delta neighbourhoods.  The achievable saving is
     therefore bounded by how quickly each sweep's input becomes
     delta-sparse — ~1.5x on NW (affine entries keep the scan churning)
-    and ~2x on LCS (zero gap costs realign almost immediately).
+    and ~2x on LCS (zero gap costs realign almost immediately).  The
+    kernel tier is pinned off: a block-kernel fix-up sweep recomputes
+    every stage densely, so only the per-stage path runs the sparse
+    kernels measured here.
     """
     rows = []
     nw_ratios = []
     for procs in (4, 8, 16, 32):
-        full = solve_parallel(nw_instance, num_procs=procs, seed=1, use_delta=False)
-        delta = solve_parallel(nw_instance, num_procs=procs, seed=1, use_delta=True)
+        full = solve_parallel(
+            nw_instance, num_procs=procs, seed=1, use_delta=False, use_kernels=False
+        )
+        delta = solve_parallel(
+            nw_instance, num_procs=procs, seed=1, use_delta=True, use_kernels=False
+        )
         np.testing.assert_array_equal(full.path, delta.path)
         fw, dw = fixup_work(full), fixup_work(delta)
         ratio = fw / dw if dw else float("inf")
@@ -67,8 +74,12 @@ def test_ablation_delta_computation(nw_instance, report, benchmark):
     lcs = LCSProblem(a, b, width=64)
     lcs_ratios = []
     for procs in (8, 32):
-        full = solve_parallel(lcs, num_procs=procs, seed=1, use_delta=False)
-        delta = solve_parallel(lcs, num_procs=procs, seed=1, use_delta=True)
+        full = solve_parallel(
+            lcs, num_procs=procs, seed=1, use_delta=False, use_kernels=False
+        )
+        delta = solve_parallel(
+            lcs, num_procs=procs, seed=1, use_delta=True, use_kernels=False
+        )
         np.testing.assert_array_equal(full.path, delta.path)
         fw, dw = fixup_work(full), fixup_work(delta)
         ratio = fw / dw if dw else float("inf")
@@ -82,7 +93,11 @@ def test_ablation_delta_computation(nw_instance, report, benchmark):
             title="Ablation A — §4.7 sparse delta fix-up (banded, width 64)",
         ),
     )
-    benchmark(lambda: solve_parallel(nw_instance, num_procs=8, seed=1, use_delta=True))
+    benchmark(
+        lambda: solve_parallel(
+            nw_instance, num_procs=8, seed=1, use_delta=True, use_kernels=False
+        )
+    )
     # Sparse fix-up must never touch more cells than dense (the kernel
     # caps repair cost at the dense stage cost), and must win clearly.
     assert all(r >= 1.0 for r in nw_ratios + lcs_ratios)

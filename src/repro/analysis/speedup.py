@@ -89,6 +89,10 @@ def scaling_sweep(
                 num_procs=p,
                 seed=seed,
                 use_delta=use_delta,
+                # Modeled time prices the recorded work, and only the
+                # per-stage path runs the sparse §4.7 kernels (a block
+                # kernel sweep recomputes whole stages).
+                use_kernels=False if use_delta else None,
                 exact_score=False,
                 executor=cluster.executor,
             )

@@ -90,10 +90,13 @@ class ParallelOptions:
         — banded LCS / Needleman–Wunsch) repair their resident stage
         vectors sparsely, diffing in delta space so only changed-delta
         neighbourhoods are recomputed, falling back to the dense kernel
-        past ``delta_crossover``.  Results are
+        past ``delta_crossover``.  With the kernel tier on, those
+        problems sweep each fix-up range in one block-kernel dispatch
+        instead, which recomputes every stage densely.  Results are
         bit-identical to dense mode; the recorded work is the cells
-        actually touched (or the modeled delta cost for problems
-        without a sparse kernel).
+        actually computed (touched cells on the per-stage sparse path,
+        full stages on a block sweep), or the modeled delta cost for
+        problems without a sparse kernel.
     delta_crossover:
         Changed-input fraction above which a sparse fix-up stage defers
         to the dense kernel (the crossover point where repairing the

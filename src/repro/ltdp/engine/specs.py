@@ -244,9 +244,10 @@ class ForwardFixupSpec(SuperstepSpec):
     (``sparse``) propagate only the changed positions through each
     resident stage via
     :meth:`~repro.ltdp.problem.LTDPProblem.apply_stage_sparse`, falling
-    back to the dense kernel past the ``crossover`` changed fraction,
-    and charge the cells actually touched.  Every other delta-mode
-    sweep charges the modeled §4.7 cost
+    back to the dense kernel past the ``crossover`` changed fraction.
+    Sparse-kernel problems charge the cells actually computed on either
+    path (full stages on a block sweep); delta-mode sweeps of problems
+    without a sparse kernel charge the modeled §4.7 cost
     (:func:`~repro.ltdp.delta.delta_fixup_work`).
     """
 
@@ -383,15 +384,15 @@ class ForwardFixupSpec(SuperstepSpec):
             if self.sparse:
                 new_states[i] = sweep.states[r]
             old = store.get_s(i)
-            changed = (
-                changed_delta_count(old, nv)
-                if self.use_delta or self._counts_repairs
-                else 0
-            )
-            work += changed + 1.0 if self.use_delta else float(sweep.costs[r])
+            if self.use_delta and not self.sparse:
+                work += delta_fixup_work(old, nv)
+            else:
+                # Cells the kernel actually computed: a block sweep is
+                # dense even in sparse mode.
+                work += float(sweep.costs[r])
             stages_done += 1
             if self._counts_repairs:
-                repaired += changed
+                repaired += changed_delta_count(old, nv)
             if i > last_dirty and self.is_converged(nv, old):
                 converged = True
                 break

@@ -147,6 +147,21 @@ def test_delta_mode_bit_identical_everywhere(name, kind, serial_solutions):
     ``use_delta=True`` every executor must reproduce the sequential
     path and score bit-for-bit — sparse boundary diffs, resident-state
     sparse kernels and convergence-aware skipping included."""
+    _assert_delta_mode_bit_identical(name, kind, serial_solutions, None)
+
+
+@pytest.mark.parametrize("kind", ["serial", "thread", "process", "pool"])
+@pytest.mark.parametrize("name", ["lcs", "nw"])
+def test_delta_mode_per_stage_sparse_path_bit_identical(
+    name, kind, serial_solutions
+):
+    """The same sweep with the kernel tier off, so LCS / NW fix-ups run
+    the per-stage sparse kernel against resident state — the fallback
+    whenever no block kernel accepts a range."""
+    _assert_delta_mode_bit_identical(name, kind, serial_solutions, False)
+
+
+def _assert_delta_mode_bit_identical(name, kind, serial_solutions, use_kernels):
     from repro.ltdp.sequential import solve_sequential
 
     problem = PROBLEMS[name]
@@ -157,7 +172,11 @@ def test_delta_mode_bit_identical_everywhere(name, kind, serial_solutions):
         got = solve_parallel(
             problem,
             ParallelOptions(
-                num_procs=NUM_PROCS, seed=SEED, executor=ex, use_delta=True
+                num_procs=NUM_PROCS,
+                seed=SEED,
+                executor=ex,
+                use_delta=True,
+                use_kernels=use_kernels,
             ),
         )
     finally:

@@ -102,9 +102,28 @@ class TestMultiRunnerBitIdentity:
         """§4.7 delta mode composes with concurrent runners: sparse
         boundary diffs are snapshotted into the specs at compile time,
         so runner scheduling cannot perturb them."""
+        self._check_delta_mode(name, kind, serial_solutions, None)
+
+    @pytest.mark.parametrize("kind", ["serial", "pool"])
+    @pytest.mark.parametrize("name", ["lcs", "nw"])
+    def test_four_runners_delta_mode_per_stage_sparse(
+        self, name, kind, serial_solutions
+    ):
+        """The same with the kernel tier off: LCS / NW fix-ups run the
+        per-stage sparse kernel against resident state."""
+        self._check_delta_mode(name, kind, serial_solutions, False)
+
+    @staticmethod
+    def _check_delta_mode(name, kind, serial_solutions, use_kernels):
         ex = get_executor(kind, max_workers=2)
         try:
-            got = solve_with(PROBLEMS[name], ex, runners=4, use_delta=True)
+            got = solve_with(
+                PROBLEMS[name],
+                ex,
+                runners=4,
+                use_delta=True,
+                use_kernels=use_kernels,
+            )
         finally:
             ex.close()
         base = serial_solutions[name]
@@ -176,15 +195,28 @@ class TestRedelivery:
         a double-applied sparse fix-up would corrupt the resident stage
         vectors, so the worker's per-seq reply cache must absorb the
         second delivery."""
+        self._check_duplicate_delta(serial_solutions, None)
+
+    @pytest.mark.parametrize("name", ["lcs", "nw"])
+    def test_duplicate_delivery_with_per_stage_sparse_on_pool(
+        self, name, serial_solutions
+    ):
+        """The same with the kernel tier off, so every fix-up repairs
+        the resident state through the per-stage sparse kernel."""
+        self._check_duplicate_delta(serial_solutions, False, name)
+
+    @staticmethod
+    def _check_duplicate_delta(serial_solutions, use_kernels, name="nw"):
         with PoolProcessExecutor(max_workers=2) as ex:
             got = solve_with(
-                PROBLEMS["nw"],
+                PROBLEMS[name],
                 ex,
                 runners=2,
                 use_delta=True,
+                use_kernels=use_kernels,
                 delivery=DeliveryPolicy(duplicates=2),
             )
-        base = serial_solutions["nw"]
+        base = serial_solutions[name]
         np.testing.assert_array_equal(got.path, base.path)
         assert got.score == base.score
 

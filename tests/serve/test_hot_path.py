@@ -4,13 +4,19 @@ A near-duplicate request is answered by repairing the resident solve:
 one :class:`~repro.ltdp.engine.specs.DeltaRepairSpec` sweep per dirty
 range, then §4.7 delta fix-up rounds.  With the kernel tier on, both
 must reach the block kernel; the per-stage sparse kernel is only the
-fallback for ranges no kernel accepts.  Here that fallback is patched
-to raise before a fork-started pool is created, so every worker
-inherits the patch and any per-stage sparse call fails its request.
+fallback for ranges no kernel accepts.  Here the path that must *not*
+run is patched to raise before a fork-started pool is created, so every
+worker inherits the patch and any call to it fails its request:
+
+- tier on (auto): the per-stage sparse kernel raises;
+- tier off (``REPRO_KERNELS=off``): the block sweep raises, so hits and
+  fix-ups repair the resident state through the per-stage fallback.
 """
 
 import numpy as np
+import pytest
 
+import repro.kernels
 from repro.datagen.sequences import homologous_pair
 from repro.ltdp.sequential import solve_sequential
 from repro.machine.pool import PoolProcessExecutor
@@ -34,9 +40,19 @@ def _no_sparse(self, *args):
     raise AssertionError("per-stage sparse kernel on the serve hot path")
 
 
-def test_hits_and_fixups_never_take_the_per_stage_sparse_path(monkeypatch):
-    monkeypatch.setattr(LCSProblem, "apply_stage_sparse", _no_sparse)
-    monkeypatch.setattr(NeedlemanWunschProblem, "apply_stage_sparse", _no_sparse)
+def _no_block(*args, **kwargs):
+    raise AssertionError("block sweep with the kernel tier off")
+
+
+@pytest.mark.parametrize("tier", ["auto", "off"])
+def test_hits_and_fixups_take_the_tier_selected_path(tier, monkeypatch):
+    if tier == "auto":
+        monkeypatch.delenv("REPRO_KERNELS", raising=False)
+        monkeypatch.setattr(LCSProblem, "apply_stage_sparse", _no_sparse)
+        monkeypatch.setattr(NeedlemanWunschProblem, "apply_stage_sparse", _no_sparse)
+    else:
+        monkeypatch.setenv("REPRO_KERNELS", "off")
+        monkeypatch.setattr(repro.kernels, "block_sweep", _no_block)
     rng = np.random.default_rng(13)
     stream = []
     for cls in (LCSProblem, NeedlemanWunschProblem):
