@@ -20,7 +20,7 @@ from repro.datagen.sequences import homologous_pair
 from repro.ltdp.blocked import solve_blocked
 from repro.ltdp.convergence import measure_convergence_steps
 from repro.ltdp.matrix_problem import random_matrix_problem
-from repro.ltdp.parallel import ParallelOptions, solve_parallel
+from repro.ltdp.engine.driver import ParallelOptions, solve_parallel
 from repro.ltdp.sequential import solve_sequential
 from repro.problems.alignment.lcs import LCSProblem
 from repro.problems.alignment.needleman_wunsch import NeedlemanWunschProblem

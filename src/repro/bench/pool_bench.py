@@ -80,7 +80,7 @@ from repro.bench.matrix import (
 )
 from repro.datagen.packets import make_received_packet
 from repro.datagen.sequences import homologous_pair, random_series
-from repro.ltdp.parallel import ParallelOptions, solve_parallel
+from repro.ltdp.engine.driver import ParallelOptions, solve_parallel
 from repro.machine.executor import get_executor
 from repro.machine.trace import Tracer
 from repro.problems.alignment.lcs import LCSProblem

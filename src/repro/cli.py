@@ -47,7 +47,7 @@ from repro.datagen.hmms import make_hmm_workload
 from repro.datagen.packets import make_received_packet
 from repro.datagen.sequences import homologous_pair, random_dna, random_series
 from repro.ltdp.convergence import measure_convergence_steps
-from repro.ltdp.parallel import ParallelOptions, solve_parallel
+from repro.ltdp.engine.driver import ParallelOptions, solve_parallel
 from repro.ltdp.sequential import solve_sequential
 from repro.machine.cluster import SimCluster
 from repro.machine.executor import EXECUTOR_KINDS, Executor, get_executor
@@ -109,15 +109,15 @@ def _add_runtime_args(p: argparse.ArgumentParser) -> None:
         "--executor",
         choices=EXECUTOR_KINDS,
         default="serial",
-        help="superstep runtime: serial (simulated), thread, "
-        "process (fork per task) or pool (persistent workers)",
+        help="superstep runtime: serial (simulated), thread or pool "
+        "(persistent workers)",
     )
     p.add_argument(
         "--workers",
         type=_positive_int,
         default=None,
         metavar="N",
-        help="cap on real OS workers for thread/process/pool executors",
+        help="cap on real OS workers for thread/pool executors",
     )
 
 

@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.exceptions import KernelRegistrationError
 from repro.kernels.base import BlockSweep, StageBlockKernel
-from repro.machine.executor import executor_capability
 
 __all__ = [
     "block_sweep",
@@ -195,8 +194,8 @@ def kernel_tier_enabled(opts, problem) -> bool:
 
     ``opts.use_kernels`` is a tri-state: ``False`` forces the dense
     path, ``True`` forces the tier on (overriding the ``REPRO_KERNELS``
-    environment switch), ``None`` (auto) enables it whenever the
-    executor declares the ``block_kernels`` capability and a kernel is
+    environment switch), ``None`` (auto) enables it unless
+    ``REPRO_KERNELS`` switches it off.  Either way a kernel must be
     registered for the problem's exact type.
     """
     use = getattr(opts, "use_kernels", None)
@@ -205,6 +204,4 @@ def kernel_tier_enabled(opts, problem) -> bool:
     if use is not True:
         if os.environ.get("REPRO_KERNELS", "").strip().lower() in _DISABLE_VALUES:
             return False
-    if not executor_capability(opts.executor, "block_kernels"):
-        return False
     return bool(registered_kernels(type(problem)))

@@ -5,7 +5,7 @@
 - :mod:`repro.ltdp.matrix_problem` — LTDP instance from explicit
   transformation matrices (the literal Equation (2) form);
 - :mod:`repro.ltdp.sequential` — the sequential algorithm (Fig 2);
-- :mod:`repro.ltdp.parallel` — the parallel forward (Fig 4) and
+- :mod:`repro.ltdp.engine` — the parallel forward (Fig 4) and
   backward (Fig 5) algorithms with their fix-up loops;
 - :mod:`repro.ltdp.partition` — stage partitioning across processors;
 - :mod:`repro.ltdp.delta` — the delta-computation optimization (§4.7);
@@ -18,7 +18,7 @@
 from repro.ltdp.problem import LTDPProblem, LTDPSolution
 from repro.ltdp.matrix_problem import MatrixLTDPProblem, random_matrix_problem
 from repro.ltdp.sequential import solve_sequential, forward_sequential
-from repro.ltdp.parallel import solve_parallel, ParallelOptions
+from repro.ltdp.engine.driver import solve_parallel, ParallelOptions
 from repro.ltdp.partition import partition_stages, StageRange
 from repro.ltdp.delta import (
     delta_encode,

@@ -20,15 +20,14 @@ The engine splits the paper's parallel algorithm (Figs 4/5) into
 - a **runner layer** (:mod:`~repro.ltdp.engine.runner` +
   :mod:`repro.machine.workqueue`) where N concurrent runners pull
   ready instructions from a shared work queue — glued together by the
-  runtimes (:class:`~repro.ltdp.engine.runtime.LocalRuntime` over any
-  classic serial/thread/process
-  :class:`~repro.machine.executor.Executor`, or
+  runtimes (:class:`~repro.ltdp.engine.runtime.LocalRuntime` over a
+  classic serial/thread :class:`~repro.machine.executor.Executor`, or
   :class:`~repro.ltdp.engine.poolrt.PoolRuntime` over the persistent
   :class:`~repro.machine.pool.PoolProcessExecutor`).
 
-``solve_parallel`` keeps the exact signature and semantics it had when
-it lived in :mod:`repro.ltdp.parallel`; that module remains the
-stable import point.
+``solve_parallel`` and :class:`ParallelOptions` live in
+:mod:`repro.ltdp.engine.driver` and are re-exported here and from
+:mod:`repro.ltdp` and :mod:`repro`.
 """
 
 from repro.ltdp.engine.driver import (
@@ -48,7 +47,6 @@ from repro.ltdp.engine.specs import (
     SpecResult,
     SuperstepSpec,
 )
-from repro.ltdp.engine.state import EngineState
 from repro.ltdp.engine.store import DriverStore, StateStore, WorkerStore
 
 __all__ = [
@@ -57,7 +55,6 @@ __all__ = [
     "edge_weight_by_probe",
     "SuperstepRuntime",
     "LocalRuntime",
-    "EngineState",
     "StateStore",
     "DriverStore",
     "WorkerStore",

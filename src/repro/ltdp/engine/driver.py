@@ -6,7 +6,7 @@ superstep specs) to the runtime layer (where the specs execute):
 1. partition stages over virtual processors;
 2. pick a runtime from the executor's capabilities —
    :class:`~repro.ltdp.engine.runtime.LocalRuntime` for closure-running
-   executors (serial / thread / fork-per-task),
+   executors (serial / thread),
    :class:`~repro.ltdp.engine.poolrt.PoolRuntime` for the persistent
    :class:`~repro.machine.pool.PoolProcessExecutor`;
 3. run the forward phase, the optional objective reduction, and the
@@ -28,7 +28,6 @@ path edge weights are offset-free.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +47,7 @@ from repro.ltdp.problem import LTDPProblem, LTDPSolution
 from repro.ltdp.sequential import solve_sequential
 from repro.machine.executor import Executor, SerialExecutor, executor_capability
 from repro.machine.metrics import RunMetrics
-from repro.machine.trace import Tracer
+from repro.machine.trace import NULL_TRACER, Tracer
 from repro.semiring.tropical import NEG_INF
 
 __all__ = [
@@ -57,10 +56,6 @@ __all__ = [
     "run_solve_phases",
     "edge_weight_by_probe",
 ]
-
-#: Shared no-op context for untraced phase blocks (nullcontext is stateless).
-_NULL_CTX = nullcontext()
-
 
 @dataclass
 class ParallelOptions:
@@ -72,7 +67,7 @@ class ParallelOptions:
         Requested processor count ``P`` (clamped to the stage count).
     executor:
         Where superstep tasks run; default serial (deterministic sim).
-        Executors advertising ``supports_resident_state`` (the
+        Executors declaring the ``resident_state`` capability (the
         persistent worker pool) get the state-resident runtime.
     seed:
         Seeds the random ``nz`` start vectors (Fig 4 line 8).  The same
@@ -116,7 +111,8 @@ class ParallelOptions:
         Optional :class:`~repro.machine.trace.Tracer` collecting real
         wall-clock spans of the solve (per-superstep, and per-worker
         dispatch breakdown on the pool runtime).  ``None`` (default)
-        keeps every instrumentation site on its one-check fast path.
+        records nothing: every layer then calls the shared disabled
+        :data:`~repro.machine.trace.NULL_TRACER`.
         Only multi-processor solves are traced; ``num_procs=1``
         devolves to the sequential solver.
     runners:
@@ -134,8 +130,7 @@ class ParallelOptions:
     use_kernels:
         Raw-speed kernel tier (:mod:`repro.kernels`) tri-state.
         ``None`` (default, auto) dispatches whole stage-blocks through a
-        registered block kernel whenever the executor declares the
-        ``block_kernels`` capability and the problem's exact type has
+        registered block kernel whenever the problem's exact type has
         one, honouring the ``REPRO_KERNELS`` environment switch;
         ``False`` forces the dense per-stage path; ``True`` forces the
         tier on (ignoring the environment switch).  Results are
@@ -261,8 +256,8 @@ def run_solve_phases(
     on cache hits); it must return the ``finals`` map that
     :func:`~repro.ltdp.engine.forward.forward_phase` would.
     """
-    tracer = options.tracer
-    with tracer.span("phase", phase="forward") if tracer else _NULL_CTX:
+    tracer = options.tracer or NULL_TRACER
+    with tracer.span("phase", phase="forward"):
         if forward_fn is None:
             finals = forward_phase(problem, ranges, options, runtime, metrics)
         else:
@@ -272,7 +267,7 @@ def run_solve_phases(
     obj_cell: int | None = None
     obj_value: float | None = None
     if problem.tracks_stage_objective:
-        with tracer.span("phase", phase="objective") if tracer else _NULL_CTX:
+        with tracer.span("phase", phase="objective"):
             obj_value, obj_stage, obj_cell = objective_phase(
                 problem, ranges, options, runtime, metrics
             )
@@ -280,7 +275,7 @@ def run_solve_phases(
     # Explicit sentinel check: ``obj_cell or 0`` conflated "no objective
     # cell" (None) with a legitimate objective optimum at cell 0.
     start_cell = 0 if obj_cell is None else obj_cell
-    with tracer.span("phase", phase="backward") if tracer else _NULL_CTX:
+    with tracer.span("phase", phase="backward"):
         if options.parallel_backward:
             path = backward_parallel_phase(
                 problem,
@@ -374,15 +369,14 @@ def solve_parallel(
     # respawns/retries/replays this solve caused.
     recovery = getattr(options.executor, "recovery_stats", None)
     recovery_base = recovery.snapshot() if recovery is not None else None
-    tracer = options.tracer
-    if tracer:
-        tracer.event(
-            "solve-start",
-            problem=type(problem).__name__,
-            num_stages=n,
-            num_procs=num_procs,
-            executor=type(options.executor).__name__,
-        )
+    tracer = options.tracer or NULL_TRACER
+    tracer.event(
+        "solve-start",
+        problem=type(problem).__name__,
+        num_stages=n,
+        num_procs=num_procs,
+        executor=type(options.executor).__name__,
+    )
     runtime = _make_runtime(
         options.executor,
         problem,

@@ -70,7 +70,7 @@ from repro.ltdp.engine.specs import SpecResult, SuperstepSpec
 from repro.ltdp.engine.store import WorkerStore
 from repro.ltdp.partition import StageRange
 from repro.ltdp.problem import LTDPProblem
-from repro.machine.trace import Tracer
+from repro.machine.trace import NULL_TRACER, Tracer
 
 __all__ = ["PoolRuntime"]
 
@@ -203,7 +203,7 @@ class PoolRuntime(SuperstepRuntime):
         self.problem = problem
         self.num_stages = problem.num_stages
         self.forward_ranges = list(ranges)
-        self.tracer = tracer
+        self.tracer = tracer or NULL_TRACER
         self.program = InstructionProgram()
         self.session_key = (
             session_key
@@ -213,9 +213,10 @@ class PoolRuntime(SuperstepRuntime):
         self._finished = False
         # The pool emits per-worker dispatch spans and recovery events
         # into the same tracer; cleared again in finish() so later
-        # untraced solves on a shared pool stay untraced.
-        if tracer and hasattr(pool, "set_tracer"):
-            pool.set_tracer(tracer)
+        # untraced solves on a shared pool stay untraced.  A disabled
+        # tracer keeps the pool on its untraced send path.
+        if hasattr(pool, "set_tracer"):
+            pool.set_tracer(self.tracer)
         blob = self._pickle_problem(problem)
         # Every worker learns every slot id; a slot's state only ever
         # fills on its owning worker, the rest stay empty placeholders.
@@ -236,7 +237,7 @@ class PoolRuntime(SuperstepRuntime):
                 runners,
                 self._execute_instr,
                 self.program,
-                tracer=tracer,
+                tracer=self.tracer,
                 policy=delivery,
             )
             if hasattr(pool, "add_teardown_hook"):
@@ -334,47 +335,32 @@ class PoolRuntime(SuperstepRuntime):
     ) -> list[SpecResult]:
         tracer = self.tracer
         step_no, instrs = self.program.add_superstep(specs, label)
-        if self._crew is not None:
-            if not tracer:
-                return self._crew.run_step(instrs)
-            t0 = time.perf_counter()
-            with tracer.context(superstep=step_no, label=label):
+        t0 = time.perf_counter()
+        # The context tags the pool's per-worker dispatch spans (and the
+        # crew's runner spans) with this superstep's identity.
+        with tracer.context(superstep=step_no, label=label):
+            if self._crew is not None:
                 results = self._crew.run_step(instrs)
-            tracer.add_span(
-                "superstep",
-                t0,
-                time.perf_counter(),
-                superstep=step_no,
-                label=label,
-                procs=len(specs),
-            )
-            return results
-        # Classic path: the whole superstep as one batched dispatch per
-        # worker — one round trip per barrier.
-        calls = [
-            (instr.slot, _w_run_instr, (self.session_key, instr.seq, instr.spec))
-            for instr in instrs
-        ]
-        if not tracer:
-            results = self.pool.call_slots(calls)
-        else:
-            t0 = time.perf_counter()
-            # The context tags the pool's per-worker dispatch spans with
-            # this superstep's identity.
-            with tracer.context(superstep=step_no, label=label):
-                results = self.pool.call_slots(calls)
-            tracer.add_span(
-                "superstep",
-                t0,
-                time.perf_counter(),
-                superstep=step_no,
-                label=label,
-                procs=len(specs),
-            )
-        # Record only after the barrier: an in-flight instruction must
-        # not be part of the replay that precedes its own re-send.
-        for instr, result in zip(instrs, results):
-            self.program.record_result(instr.seq, result)
+            else:
+                # Classic path: the whole superstep as one batched
+                # dispatch per worker — one round trip per barrier.
+                key = self.session_key
+                results = self.pool.call_slots(
+                    [(i.slot, _w_run_instr, (key, i.seq, i.spec)) for i in instrs]
+                )
+                # Record only after the barrier: an in-flight
+                # instruction must not be part of the replay that
+                # precedes its own re-send.
+                for instr, result in zip(instrs, results):
+                    self.program.record_result(instr.seq, result)
+        tracer.add_span(
+            "superstep",
+            t0,
+            time.perf_counter(),
+            superstep=step_no,
+            label=label,
+            procs=len(specs),
+        )
         return results
 
     def install_path(self, path: np.ndarray) -> None:
@@ -482,7 +468,7 @@ class PoolRuntime(SuperstepRuntime):
             self.pool.remove_rebuild_hook(self)
         elif hasattr(self.pool, "set_rebuild_hook"):
             self.pool.set_rebuild_hook(None)
-        if self.tracer and hasattr(self.pool, "set_tracer"):
+        if hasattr(self.pool, "set_tracer"):
             self.pool.set_tracer(None)
         try:
             self.pool.broadcast(_w_drop, (self.session_key,))

@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 from repro.exceptions import ExecutorError
 from repro.ltdp.engine.program import Instruction, InstructionProgram
-from repro.machine.trace import Tracer
+from repro.machine.trace import NULL_TRACER, Tracer
 from repro.machine.workqueue import WorkQueue
 
 __all__ = ["DeliveryPolicy", "RunnerCrew"]
@@ -72,7 +72,7 @@ class RunnerCrew:
 
     ``execute(instruction)`` is the runtime's transport callback — it
     runs the instruction wherever that runtime executes specs (inline,
-    a thread/process executor, a pool worker) and returns the
+    a thread executor, a pool worker) and returns the
     :class:`~repro.ltdp.engine.specs.SpecResult`.
     """
 
@@ -88,7 +88,7 @@ class RunnerCrew:
             raise ValueError(f"num_runners must be >= 1, got {num_runners}")
         self.policy = policy or DeliveryPolicy()
         self.program = program
-        self.tracer = tracer
+        self.tracer = tracer or NULL_TRACER
         self._execute = execute
         self.queue = WorkQueue(order=self.policy.order)
         self._cond = threading.Condition()
@@ -121,39 +121,36 @@ class RunnerCrew:
                 return
             seq, instr = pulled
             tracer = self.tracer
-            if tracer:
-                tracer.add_span(
-                    "runner.pull",
-                    t0,
-                    time.perf_counter(),
-                    runner=rid,
-                    seq=seq,
-                    step=instr.step,
-                    label=instr.label,
-                )
+            tracer.add_span(
+                "runner.pull",
+                t0,
+                time.perf_counter(),
+                runner=rid,
+                seq=seq,
+                step=instr.step,
+                label=instr.label,
+            )
             try:
                 if self.program.is_recorded(seq):
                     # Re-delivery of an applied instruction: a no-op.
-                    if tracer:
-                        tracer.event(
-                            "instr-duplicate", runner=rid, seq=seq, label=instr.label
-                        )
+                    tracer.event(
+                        "instr-duplicate", runner=rid, seq=seq, label=instr.label
+                    )
                 else:
                     c0 = time.perf_counter()
                     result = self._execute(instr)
                     first = self.program.record_result(seq, result)
-                    if tracer:
-                        tracer.add_span(
-                            "program.instr",
-                            c0,
-                            time.perf_counter(),
-                            runner=rid,
-                            seq=seq,
-                            step=instr.step,
-                            slot=instr.slot,
-                            label=instr.label,
-                            duplicate=not first,
-                        )
+                    tracer.add_span(
+                        "program.instr",
+                        c0,
+                        time.perf_counter(),
+                        runner=rid,
+                        seq=seq,
+                        step=instr.step,
+                        slot=instr.slot,
+                        label=instr.label,
+                        duplicate=not first,
+                    )
             except BaseException as exc:  # repro: noqa[REP005]: a runner thread must survive any instruction failure and surface it through run_step, not die silently
                 with self._cond:
                     self._errors.setdefault(seq, exc)

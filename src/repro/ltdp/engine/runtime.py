@@ -20,10 +20,9 @@ glue between three owning layers:
 Two implementations ship:
 
 - :class:`LocalRuntime` — stage state lives in the driver process;
-  specs are wrapped in closures and handed to any classic
-  :class:`~repro.machine.executor.Executor` (serial / thread pool /
-  fork-per-task processes), or executed directly by runner threads when
-  a crew is active.
+  specs are wrapped in closures and handed to a classic
+  :class:`~repro.machine.executor.Executor` (serial / thread pool), or
+  executed directly by runner threads when a crew is active.
 - :class:`~repro.ltdp.engine.poolrt.PoolRuntime` — stage state lives
   *inside* persistent worker processes
   (:class:`~repro.machine.pool.PoolProcessExecutor`); only instructions
@@ -38,6 +37,7 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -49,7 +49,7 @@ from repro.ltdp.engine.store import DriverStore
 from repro.ltdp.partition import StageRange
 from repro.ltdp.problem import LTDPProblem
 from repro.machine.executor import Executor
-from repro.machine.trace import Tracer
+from repro.machine.trace import NULL_TRACER, Tracer
 
 __all__ = ["SuperstepRuntime", "LocalRuntime"]
 
@@ -64,10 +64,9 @@ def _wants_crew(runners: int, delivery: DeliveryPolicy | None) -> bool:
 class SuperstepRuntime(ABC):
     """Executes superstep specs and owns the per-stage state between them."""
 
-    #: Optional span tracer; ``None`` (the default) costs one check per
-    #: superstep.  Set via the runtime constructors from
-    #: ``ParallelOptions.tracer``.
-    tracer: Tracer | None = None
+    #: Span tracer, set via the runtime constructors from
+    #: ``ParallelOptions.tracer``; :data:`NULL_TRACER` when untraced.
+    tracer: Tracer = NULL_TRACER
 
     @property
     def step_no(self) -> int:
@@ -144,7 +143,7 @@ class LocalRuntime(SuperstepRuntime):
         self.executor = executor
         self.problem = problem
         self.state = DriverStore(problem)
-        self.tracer = tracer
+        self.tracer = tracer or NULL_TRACER
         self.program = InstructionProgram()
         self._crew: RunnerCrew | None = None
         if _wants_crew(runners, delivery):
@@ -152,7 +151,7 @@ class LocalRuntime(SuperstepRuntime):
                 runners,
                 self._execute_instr,
                 self.program,
-                tracer=tracer,
+                tracer=self.tracer,
                 policy=delivery,
             )
             # Teardown ordering (PR 2 weakref.finalize path): the crew
@@ -177,65 +176,39 @@ class LocalRuntime(SuperstepRuntime):
     def run(
         self, specs: Sequence[SuperstepSpec], label: str = ""
     ) -> list[SpecResult]:
-        problem, store = self.problem, self.state
-        tracer = self.tracer
+        problem, store, tracer = self.problem, self.state, self.tracer
         step_no, instrs = self.program.add_superstep(specs, label)
-        if self._crew is not None:
-            if not tracer:
-                results = self._crew.run_step(instrs)
-            else:
-                t0 = time.perf_counter()
-                results = self._crew.run_step(instrs)
-                tracer.add_span(
-                    "superstep",
-                    t0,
-                    time.perf_counter(),
-                    superstep=step_no,
-                    label=label,
-                    procs=len(specs),
-                )
-        elif not tracer:
-            tasks = [
-                lambda spec=spec: spec.execute(problem, store) for spec in specs
-            ]
-            results = self.executor.run_superstep(tasks)
-            for instr, result in zip(instrs, results):
-                self.program.record_result(instr.seq, result)
-        else:
 
-            def timed(spec: SuperstepSpec):
-                # Per-task compute spans land in the tracer for in-process
-                # executors (serial / thread).  Under the fork-per-task
-                # executor the closure runs in a child and its span is
-                # lost with the fork; the superstep span below — recorded
-                # driver-side — still covers the barrier-to-barrier time.
-                def task():
-                    c0 = time.perf_counter()
-                    result = spec.execute(problem, store)
-                    tracer.add_span(
-                        "compute",
-                        c0,
-                        time.perf_counter(),
-                        superstep=step_no,
-                        label=label,
-                        proc=spec.proc,
-                    )
-                    return result
-
-                return task
-
-            t0 = time.perf_counter()
-            results = self.executor.run_superstep([timed(s) for s in specs])
+        def task(spec: SuperstepSpec) -> SpecResult:
+            # The classic executors (serial / thread) run tasks in this
+            # process, so each task's compute span lands in the tracer.
+            c0 = time.perf_counter()
+            result = spec.execute(problem, store)
             tracer.add_span(
-                "superstep",
-                t0,
+                "compute",
+                c0,
                 time.perf_counter(),
                 superstep=step_no,
                 label=label,
-                procs=len(specs),
+                proc=spec.proc,
             )
+            return result
+
+        t0 = time.perf_counter()
+        if self._crew is not None:
+            results = self._crew.run_step(instrs)
+        else:
+            results = self.executor.run_superstep([partial(task, s) for s in specs])
             for instr, result in zip(instrs, results):
                 self.program.record_result(instr.seq, result)
+        tracer.add_span(
+            "superstep",
+            t0,
+            time.perf_counter(),
+            superstep=step_no,
+            label=label,
+            procs=len(specs),
+        )
         # Post-barrier application, in spec order regardless of which
         # runner finished first — the store's seq guard additionally
         # makes a re-applied result a no-op.

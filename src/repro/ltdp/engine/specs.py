@@ -15,8 +15,8 @@ Runtimes (see :mod:`repro.ltdp.engine.runtime` and
 abstract view of the per-stage vectors the executing processor can see.
 ``execute`` never mutates the store; all writes are collected in the
 returned :class:`SpecResult` and applied after the barrier, which is
-exactly what makes serial / thread / forked-process / persistent-pool
-execution bit-identical.
+exactly what makes serial / thread / persistent-pool execution
+bit-identical.
 
 The store contract mirrors the paper's data distribution: a spec only
 ever reads stages inside its own ``(lo .. hi]`` range (resident on its

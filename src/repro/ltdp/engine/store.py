@@ -66,8 +66,7 @@ class DriverStore(StateStore):
     The single-address-space incarnation of the paper's distributed
     stores: one slot per stage for the solution vector and the
     predecessor vector, plus the backward path array once the backward
-    phase begins.  The serial / thread / forked-process runtimes all
-    share one instance.
+    phase begins.  The serial / thread runtimes share one instance.
     """
 
     def __init__(self, problem: LTDPProblem) -> None:

@@ -91,7 +91,7 @@ class SimCluster:
 
         ``executor`` is an :class:`Executor` instance or a
         :func:`~repro.machine.executor.get_executor` kind
-        (``"serial" | "thread" | "process" | "pool"``); ``max_workers``
+        (``"serial" | "thread" | "pool"``); ``max_workers``
         caps the real OS workers for the non-serial kinds.  The caller
         owns the executor's lifecycle — call :meth:`close` (or the
         executor's own ``close``) when done with a process-backed one.

@@ -11,14 +11,11 @@ need locks; they only differ in where the closures run:
 - :class:`ThreadExecutor` — a thread pool.  Real concurrency for
   NumPy-heavy kernels (NumPy releases the GIL inside ufuncs), real
   barrier behaviour; bounded by the GIL for Python-level work.
-- :class:`ProcessExecutor` — forked worker processes, one per task
-  (capped at ``max_workers`` concurrent forks).  True parallelism on
-  multi-core hosts.  Uses ``fork`` so closures and NumPy arrays are
-  inherited, with results returned over pipes.
 - :class:`~repro.machine.pool.PoolProcessExecutor` (in
   :mod:`repro.machine.pool`) — *persistent* worker processes spawned
-  once and reused across supersteps; the LTDP engine additionally keeps
-  per-processor stage state resident in them.
+  once and reused across supersteps; true parallelism on multi-core
+  hosts.  The LTDP engine additionally keeps per-processor stage state
+  resident in them.
 
 All executors produce bit-identical results (the test-suite checks
 this); on a single-core host only the simulated clock shows speedup.
@@ -26,9 +23,6 @@ this); on a single-core host only the simulated clock shows speedup.
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
-import pickle
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
@@ -44,13 +38,12 @@ __all__ = [
     "CAPABILITY_NAMES",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "get_executor",
     "EXECUTOR_KINDS",
 ]
 
 #: Executor kinds :func:`get_executor` understands (CLI ``--executor``).
-EXECUTOR_KINDS = ("serial", "thread", "process", "pool")
+EXECUTOR_KINDS = ("serial", "thread", "pool")
 
 Task = Callable[[], Any]
 
@@ -73,17 +66,9 @@ class ExecutorCapabilities:
     resident_state:
         Workers persist across supersteps and can keep per-processor
         stage state resident (the pool runtime's contract).
-    block_kernels:
-        Superstep specs may execute preplanned stage-*block* kernels
-        (the :mod:`repro.kernels` tier) instead of the per-stage
-        interpreted sweep.  True for every shipped executor — the block
-        kernels are ordinary spec-body code — but declared so the tier
-        is selected through the same mechanism as ``resident_state``
-        and can be switched off per-executor.
     """
 
     resident_state: bool = False
-    block_kernels: bool = True
 
 
 #: The closed set of declarable capability names.
@@ -140,11 +125,6 @@ class Executor(ABC):
     def capability(self, name: str) -> bool:
         """Probe one declared capability; unknown names raise loudly."""
         return executor_capability(self, name)
-
-    @property
-    def supports_resident_state(self) -> bool:
-        """Legacy duck-typed probe, now derived from :attr:`capabilities`."""
-        return self.capability("resident_state")
 
     # -- closed-state guard ----------------------------------------------
     # Lazy attribute (like the teardown hooks below): ABC subclasses
@@ -221,7 +201,7 @@ class SerialExecutor(Executor):
 class ThreadExecutor(Executor):
     """Thread-pool execution; real concurrency for GIL-releasing kernels.
 
-    Error contract (matching :class:`ProcessExecutor`): a raising task
+    Error contract (matching the worker pool's): a raising task
     cancels the superstep's not-yet-started siblings, drains the ones
     already running, and surfaces as :class:`ExecutorError` naming both
     the 0-based task index and the 1-based processor slot it maps to,
@@ -260,88 +240,15 @@ class ThreadExecutor(Executor):
         self._closed = True
 
 
-def _child_main(conn, task: Task) -> None:  # pragma: no cover - runs in fork
-    try:
-        result = task()
-        conn.send_bytes(pickle.dumps((True, result), protocol=pickle.HIGHEST_PROTOCOL))
-    except BaseException as exc:  # repro: noqa[REP005]: forked child must report every failure (incl. KeyboardInterrupt) over the pipe
-        try:
-            conn.send_bytes(pickle.dumps((False, repr(exc))))
-        except Exception:  # repro: noqa[REP005]: parent may already have closed the pipe; child exits either way
-            pass
-    finally:
-        conn.close()
-
-
-class ProcessExecutor(Executor):
-    """Fork-per-task execution: true multi-core parallelism.
-
-    Closures are inherited through ``fork`` (no pickling of the task),
-    results come back pickled over a pipe.  ``max_workers`` caps how
-    many forked children are alive at once (default: one per task);
-    supersteps with more tasks run them in ``max_workers``-sized waves.
-    Not available on platforms without ``fork`` (Windows); raises
-    :class:`ExecutorError` there.
-    """
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        if not hasattr(os, "fork"):
-            raise ExecutorError("ProcessExecutor requires a fork-capable platform")
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers
-        self._ctx = mp.get_context("fork")
-
-    def run_superstep(self, tasks: Sequence[Task]) -> list[Any]:
-        self._check_open()
-        limit = self.max_workers or len(tasks) or 1
-        results: list[Any] = []
-        errors: list[str] = []
-        for start in range(0, len(tasks), limit):
-            wave = tasks[start : start + limit]
-            procs = []
-            conns = []
-            for task in wave:
-                parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-                proc = self._ctx.Process(target=_child_main, args=(child_conn, task))
-                proc.start()
-                child_conn.close()
-                procs.append(proc)
-                conns.append(parent_conn)
-            for offset, (proc, conn) in enumerate(zip(procs, conns)):
-                try:
-                    ok, payload = pickle.loads(conn.recv_bytes())
-                except EOFError:
-                    ok, payload = (
-                        False,
-                        f"worker pid={proc.pid} died without a result",
-                    )
-                finally:
-                    conn.close()
-                proc.join()
-                if ok:
-                    results.append(payload)
-                else:
-                    errors.append(
-                        f"task {start + offset} (processor "
-                        f"{start + offset + 1}) failed: {payload}"
-                    )
-        if errors:
-            raise ExecutorError("; ".join(errors))
-        return results
-
-
 def get_executor(kind: str = "serial", **kwargs: Any) -> Executor:
-    """Factory: ``"serial"`` | ``"thread"`` | ``"process"`` | ``"pool"``.
+    """Factory: ``"serial"`` | ``"thread"`` | ``"pool"``.
 
-    ``thread``, ``process`` and ``pool`` accept ``max_workers``.
+    ``thread`` and ``pool`` accept ``max_workers``.
     """
     if kind == "serial":
         return SerialExecutor()
     if kind == "thread":
         return ThreadExecutor(**kwargs)
-    if kind == "process":
-        return ProcessExecutor(**kwargs)
     if kind == "pool":
         from repro.machine.pool import PoolProcessExecutor
 

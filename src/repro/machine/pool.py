@@ -1,10 +1,10 @@
 """`PoolProcessExecutor`: a persistent, fault-tolerant worker-pool runtime.
 
-The legacy :class:`~repro.machine.executor.ProcessExecutor` forks one
-process *per task per superstep*, so a parallel LTDP solve with ``k``
-fix-up rounds pays ``P·(k+…)`` fork+pickle round-trips.  This pool
-spawns ``max_workers`` OS processes **once**, keeps them alive across
-supersteps (and across solves), and talks to them over pipes:
+Forking one process *per task per superstep* would make a parallel
+LTDP solve with ``k`` fix-up rounds pay ``P·(k+…)`` fork+pickle
+round-trips.  This pool spawns ``max_workers`` OS processes **once**,
+keeps them alive across supersteps (and across solves), and talks to
+them over pipes:
 
 - **generic tasks** — :meth:`run_superstep` ships picklable callables
   and returns their results, satisfying the classic
@@ -185,8 +185,8 @@ class PoolProcessExecutor(Executor):
     """Persistent multi-process executor with worker-resident state."""
 
     #: Typed capability declaration: signals the LTDP engine to use the
-    #: state-resident pool runtime and enables the block-kernel tier.
-    capabilities = ExecutorCapabilities(resident_state=True, block_kernels=True)
+    #: state-resident pool runtime.
+    capabilities = ExecutorCapabilities(resident_state=True)
 
     #: Shared mutable state and the lock that guards it (checked
     #: statically by ``repro lint`` REP007).  Everything here is touched
@@ -265,9 +265,9 @@ class PoolProcessExecutor(Executor):
         # Rebuild hooks, keyed by owner (one per resident session so
         # several sessions can share the pool); insertion-ordered.
         self._rebuild_hooks: dict[Any, Callable[[int], tuple[list, int]]] = {}
-        # Optional span tracer (set by the LTDP pool runtime while a
-        # traced solve is in flight).  ``None`` keeps every dispatch on
-        # the zero-overhead path.
+        # Span tracer (set by the LTDP pool runtime while a solve is in
+        # flight).  ``None`` or a disabled tracer keeps every dispatch
+        # on the zero-overhead path.
         self._tracer = None
         #: One entry per dispatched superstep: the set of worker PIDs
         #: that replied.  Tests use this to assert PID stability.
@@ -362,7 +362,8 @@ class PoolProcessExecutor(Executor):
         involved worker — send / queue-wait / compute seconds plus
         request/reply byte counts — and recovery paths emit
         ``worker-respawn`` / ``dispatch-retry`` / ``superstep-replay``
-        events.  Cleared (``None``) the pool takes the untraced path.
+        events.  Cleared (``None``) or disabled, the pool takes the
+        untraced path.
         """
         self._tracer = tracer
 
@@ -716,8 +717,8 @@ class PoolProcessExecutor(Executor):
     def run_superstep(self, tasks: Sequence[Task]) -> list[Any]:
         """Run picklable callables, task ``i`` on worker ``i % max_workers``.
 
-        Unlike the fork-per-task executor, tasks are shipped by pickle —
-        closures over local state will not survive the trip; use
+        Tasks are shipped by pickle — closures over local state will
+        not survive the trip; use
         module-level functions (the LTDP engine routes its work through
         :meth:`call_slots` instead, which the pool runtime feeds with
         declarative spec objects).  Tasks should be side-effect free:

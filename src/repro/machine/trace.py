@@ -14,10 +14,10 @@ Two complementary views live here:
    spans with send/queue-wait/compute breakdown and serialized byte
    counts, and point events for pool recovery (respawns, retries,
    replays).  The engine threads a tracer through
-   :class:`~repro.ltdp.engine.driver.ParallelOptions`; every
-   instrumentation site guards with ``if tracer:`` so the disabled path
-   costs a single truthiness check.  Traces export as schema-versioned
-   JSONL (:meth:`Tracer.dump_jsonl`).
+   :class:`~repro.ltdp.engine.driver.ParallelOptions`; layers handed
+   ``None`` store :data:`NULL_TRACER` and call it unconditionally, so
+   the disabled path costs one early return per recording call.  Traces
+   export as schema-versioned JSONL (:meth:`Tracer.dump_jsonl`).
 
 Span clock: ``time.perf_counter()``.  On Linux this is CLOCK_MONOTONIC,
 which shares its epoch across processes on one host, so worker-side
@@ -42,6 +42,7 @@ __all__ = [
     "Span",
     "TraceEvent",
     "Tracer",
+    "NULL_TRACER",
     "TraceInterval",
     "build_trace",
     "render_gantt",
@@ -86,11 +87,13 @@ class Tracer:
         tracer.dump_jsonl("solve.trace.jsonl")
         print(tracer.format_summary())
 
-    A tracer is *falsy* when disabled, and instrumentation sites are
-    written ``if tracer: tracer.add_span(...)`` — passing ``None``
-    (the default everywhere) or ``Tracer(enabled=False)`` therefore
-    short-circuits to one attribute/truthiness check per site, which is
-    what keeps tracing's disabled overhead near zero.
+    A disabled tracer records nothing: every recording method returns
+    at once, and :meth:`span` / :meth:`context` yield without touching
+    the clock.  Engine layers handed ``None`` (the default everywhere)
+    store :data:`NULL_TRACER` and call it unconditionally, which keeps
+    tracing's disabled overhead to a few microseconds per superstep.
+    A disabled tracer is also *falsy*, which the worker pool uses to
+    skip measuring its wire bytes.
 
     ``context`` attributes (e.g. the current superstep label) are merged
     into every span/event recorded while the context is active, letting
@@ -250,6 +253,11 @@ class Tracer:
             )
             lines.append(f"  events: {rendered}")
         return "\n".join(lines)
+
+
+#: Shared disabled tracer: what every engine layer stores when it is
+#: handed no tracer.  It never records anything.
+NULL_TRACER = Tracer(enabled=False)
 
 
 def _json_default(obj: Any) -> Any:

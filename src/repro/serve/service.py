@@ -29,13 +29,12 @@ import itertools
 import threading
 import time
 from collections import OrderedDict, deque
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.exceptions import ExecutorError, ReproError
 from repro.ltdp.problem import LTDPProblem
 from repro.machine.executor import executor_capability
-from repro.machine.trace import Tracer
+from repro.machine.trace import NULL_TRACER, Tracer
 
 from repro.serve.requests import (
     CACHE_HIT,
@@ -50,8 +49,6 @@ from repro.serve.requests import (
 from repro.serve.session import ResidentSession
 
 __all__ = ["ClassStats", "LTDPService"]
-
-_NULL_CTX = nullcontext()
 
 
 @dataclass
@@ -187,7 +184,7 @@ class LTDPService:
         self.max_sessions = max_sessions
         self.use_delta = use_delta
         self.seed = seed
-        self.tracer = tracer
+        self.tracer = tracer or NULL_TRACER
         self.journal_cap = journal_cap
 
         self._cond = threading.Condition()
@@ -306,18 +303,10 @@ class LTDPService:
             groups: "OrderedDict[tuple, list[PendingRequest]]" = OrderedDict()
             for req in batch:
                 groups.setdefault(req.key, []).append(req)
-            tracer = self.tracer
             for key, reqs in groups.items():
-                ctx = (
-                    tracer.span(
-                        "serve.batch",
-                        request_class=class_label(key),
-                        size=len(reqs),
-                    )
-                    if tracer
-                    else _NULL_CTX
-                )
-                with ctx:
+                with self.tracer.span(
+                    "serve.batch", request_class=class_label(key), size=len(reqs)
+                ):
                     for req in reqs:
                         self._serve_one(req)
 
@@ -342,14 +331,8 @@ class LTDPService:
         return session
 
     def _serve_one(self, req: PendingRequest) -> None:
-        tracer = self.tracer
         t0 = time.perf_counter()
-        ctx = (
-            tracer.span("serve.request", request_id=req.request_id)
-            if tracer
-            else _NULL_CTX
-        )
-        with ctx:
+        with self.tracer.span("serve.request", request_id=req.request_id):
             try:
                 session = self._session_for(req)
                 solution, cache, metrics = session.serve(req.problem)

@@ -68,7 +68,7 @@ class TestScalingSweep:
 
 class TestCustomOptions:
     def test_make_options_hook(self):
-        from repro.ltdp.parallel import ParallelOptions
+        from repro.ltdp.engine.driver import ParallelOptions
 
         rng = np.random.default_rng(1)
         problem = random_matrix_problem(64, 4, rng, integer=True)

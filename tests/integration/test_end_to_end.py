@@ -10,7 +10,7 @@ import pytest
 from repro.datagen.hmms import make_hmm_workload
 from repro.datagen.packets import make_received_packet
 from repro.datagen.sequences import homologous_pair, random_dna, random_series
-from repro.ltdp.parallel import ParallelOptions, solve_parallel
+from repro.ltdp.engine.driver import ParallelOptions, solve_parallel
 from repro.ltdp.sequential import solve_sequential
 from repro.ltdp.validation import validate_problem
 from repro.machine.executor import ThreadExecutor

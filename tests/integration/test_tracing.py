@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from repro.ltdp.matrix_problem import random_matrix_problem
-from repro.ltdp.parallel import ParallelOptions, solve_parallel
+from repro.ltdp.engine.driver import ParallelOptions, solve_parallel
 from repro.machine.executor import get_executor
 from repro.machine.pool import PoolProcessExecutor
-from repro.machine.trace import Tracer
+from repro.machine.trace import NULL_TRACER, Tracer
 
 NUM_PROCS = 3
 SEED = 11
@@ -34,11 +34,20 @@ def traced_solve(problem, executor, tracer, **kwargs):
     return solve_parallel(problem, opts)
 
 
-@pytest.mark.parametrize("kind", ["serial", "thread", "process", "pool"])
-def test_one_superstep_span_per_recorded_superstep(problem, kind):
+@pytest.mark.parametrize(
+    "kind, runners",
+    [
+        pytest.param(kind, runners, id=kind if runners == 1 else f"{kind}-crew")
+        for kind in ("serial", "thread", "pool")
+        for runners in (1, 2)
+    ],
+)
+def test_one_superstep_span_per_recorded_superstep(problem, kind, runners):
+    """Classic dispatch (one runner) and the runner crew share one
+    superstep path per runtime; both record one span per superstep."""
     tracer = Tracer()
     with get_executor(kind, max_workers=2) as ex:
-        traced = traced_solve(problem, ex, tracer)
+        traced = traced_solve(problem, ex, tracer, runners=runners)
     with get_executor("serial") as ex:
         base = traced_solve(problem, ex, None)
 
@@ -125,6 +134,16 @@ def test_disabled_tracer_records_nothing_end_to_end(problem):
         traced = traced_solve(problem, ex, tracer)
     assert tracer.spans == [] and tracer.events == []
     assert traced.metrics.num_barriers > 0
+
+
+@pytest.mark.parametrize("kind", ["serial", "pool"])
+@pytest.mark.parametrize("runners", [1, 2])
+def test_untraced_solve_leaves_null_tracer_empty(problem, kind, runners):
+    """Untraced layers call the shared NULL_TRACER unconditionally; it
+    must never accumulate records."""
+    with get_executor(kind, max_workers=2) as ex:
+        traced_solve(problem, ex, None, runners=runners)
+    assert NULL_TRACER.spans == [] and NULL_TRACER.events == []
 
 
 def test_objective_problem_traces_three_phases():

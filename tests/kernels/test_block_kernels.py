@@ -295,7 +295,7 @@ class TestLastStageGate:
     @pytest.mark.parametrize("use_delta", [False, True])
     @pytest.mark.parametrize("name", ["lcs-full", "lcs-banded", "nw-sub", "vit-hard"])
     def test_solve_falls_back_bit_identical(self, name, use_delta, last_stage_liars):
-        from repro.ltdp.parallel import ParallelOptions, solve_parallel
+        from repro.ltdp.engine.driver import ParallelOptions, solve_parallel
         from repro.ltdp.sequential import solve_sequential
 
         problem = PROBLEMS[name]
@@ -339,7 +339,7 @@ class TestTierGate:
     """The tri-state ``use_kernels`` gate (mirrors the sparse kernel's)."""
 
     def _opts(self, use_kernels):
-        from repro.ltdp.parallel import ParallelOptions
+        from repro.ltdp.engine.driver import ParallelOptions
 
         return ParallelOptions(
             num_procs=2, executor=SerialExecutor(), use_kernels=use_kernels

@@ -15,7 +15,7 @@ import pytest
 from repro.datagen.packets import make_received_packet
 from repro.datagen.sequences import homologous_pair
 from repro.ltdp.engine.runner import DeliveryPolicy
-from repro.ltdp.parallel import ParallelOptions, solve_parallel
+from repro.ltdp.engine.driver import ParallelOptions, solve_parallel
 from repro.ltdp.sequential import solve_sequential
 from repro.machine.executor import get_executor
 from repro.machine.pool import PoolProcessExecutor
@@ -71,7 +71,7 @@ def dense_baselines():
 
 
 class TestTierAxis:
-    @pytest.mark.parametrize("kind", ["serial", "thread", "process", "pool"])
+    @pytest.mark.parametrize("kind", ["serial", "thread", "pool"])
     @pytest.mark.parametrize("name", list(PROBLEMS))
     def test_tier_on_bit_identical_everywhere(self, name, kind, dense_baselines):
         ex = get_executor(kind, max_workers=2)

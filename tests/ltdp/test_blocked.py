@@ -6,7 +6,7 @@ import pytest
 from repro.datagen.sequences import random_dna
 from repro.ltdp.blocked import solve_blocked
 from repro.ltdp.matrix_problem import random_matrix_problem
-from repro.ltdp.parallel import solve_parallel
+from repro.ltdp.engine.driver import solve_parallel
 from repro.ltdp.sequential import solve_sequential
 
 from tests.ltdp.test_parallel import permutation_chain_problem

@@ -1,11 +1,11 @@
 """Cross-executor equivalence: every runtime is bit-identical.
 
-The plan/runtime split means all four executors run the *same*
+The plan/runtime split means all three executors run the *same*
 declarative superstep specs; only where they execute differs.  This
 suite pins that down for every shipped problem family: ``path``,
 ``score`` and the fix-up iteration counts must match the serial
-baseline bit-for-bit — no tolerance — on the thread, fork-per-task
-process and persistent-pool runtimes alike.
+baseline bit-for-bit — no tolerance — on the thread and
+persistent-pool runtimes alike.
 """
 
 import multiprocessing as mp
@@ -17,7 +17,7 @@ from repro.datagen.hmms import make_hmm_workload
 from repro.datagen.packets import make_received_packet
 from repro.datagen.sequences import homologous_pair, random_dna, random_series
 from repro.ltdp.matrix_problem import random_matrix_problem
-from repro.ltdp.parallel import ParallelOptions, solve_parallel
+from repro.ltdp.engine.driver import ParallelOptions, solve_parallel
 from repro.machine.executor import get_executor
 from repro.machine.pool import PoolProcessExecutor
 from repro.problems.alignment.lcs import LCSProblem
@@ -77,7 +77,7 @@ def serial_solutions():
     return {name: solve_with(p, get_executor("serial")) for name, p in PROBLEMS.items()}
 
 
-@pytest.mark.parametrize("kind", ["thread", "process", "pool"])
+@pytest.mark.parametrize("kind", ["thread", "pool"])
 @pytest.mark.parametrize("name", list(PROBLEMS))
 def test_executor_bit_identical_to_serial(name, kind, serial_solutions):
     base = serial_solutions[name]
@@ -113,9 +113,8 @@ def test_metrics_accounting_invariant_across_executors(name, kind, serial_soluti
     """Work/communication accounting is a property of the *plan*, not of
     where it runs: every executor must report the same barrier count,
     per-processor work, fix-up recomputation stages and boundary bytes
-    as the serial baseline.  (The fork-per-task executor is covered for
-    path/score above; its work ledger is recorded driver-side too, so
-    thread + pool pin both state-placement strategies.)"""
+    as the serial baseline.  Thread + pool pin both state-placement
+    strategies."""
     base = serial_solutions[name].metrics
     ex = get_executor(kind, max_workers=2)
     try:
@@ -140,7 +139,7 @@ def test_metrics_accounting_invariant_across_executors(name, kind, serial_soluti
 DELTA_WORKLOADS = ["lcs", "nw", "matrix", "sw"]
 
 
-@pytest.mark.parametrize("kind", ["serial", "thread", "process", "pool"])
+@pytest.mark.parametrize("kind", ["serial", "thread", "pool"])
 @pytest.mark.parametrize("name", DELTA_WORKLOADS)
 def test_delta_mode_bit_identical_everywhere(name, kind, serial_solutions):
     """§4.7 delta mode is an optimization, never a semantic: with
@@ -150,7 +149,7 @@ def test_delta_mode_bit_identical_everywhere(name, kind, serial_solutions):
     _assert_delta_mode_bit_identical(name, kind, serial_solutions, None)
 
 
-@pytest.mark.parametrize("kind", ["serial", "thread", "process", "pool"])
+@pytest.mark.parametrize("kind", ["serial", "thread", "pool"])
 @pytest.mark.parametrize("name", ["lcs", "nw"])
 def test_delta_mode_per_stage_sparse_path_bit_identical(
     name, kind, serial_solutions

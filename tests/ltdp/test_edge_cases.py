@@ -9,7 +9,7 @@ from repro.exceptions import (
     ZeroVectorError,
 )
 from repro.ltdp.matrix_problem import MatrixLTDPProblem, random_matrix_problem
-from repro.ltdp.parallel import ParallelOptions, solve_parallel
+from repro.ltdp.engine.driver import ParallelOptions, solve_parallel
 from repro.ltdp.sequential import solve_sequential
 from repro.semiring.tropical import NEG_INF
 
@@ -156,7 +156,7 @@ class TestObjectiveEdgeCases:
         import numpy as np
 
         from repro.ltdp.problem import LTDPProblem
-        from repro.ltdp.parallel import solve_parallel
+        from repro.ltdp.engine.driver import solve_parallel
         from repro.ltdp.sequential import solve_sequential
 
         class Decaying(LTDPProblem):

@@ -11,7 +11,7 @@ backward implementations to trace from exactly that cell.
 import numpy as np
 import pytest
 
-from repro.ltdp.parallel import ParallelOptions, solve_parallel
+from repro.ltdp.engine.driver import ParallelOptions, solve_parallel
 from repro.ltdp.problem import LTDPProblem
 from repro.ltdp.sequential import solve_sequential
 

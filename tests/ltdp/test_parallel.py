@@ -5,9 +5,9 @@ import pytest
 
 from repro.exceptions import ExecutorError
 from repro.ltdp.matrix_problem import MatrixLTDPProblem, random_matrix_problem
-from repro.ltdp.parallel import ParallelOptions, solve_parallel
+from repro.ltdp.engine.driver import ParallelOptions, solve_parallel
 from repro.ltdp.sequential import solve_sequential
-from repro.machine.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.machine.executor import SerialExecutor, ThreadExecutor, get_executor
 from repro.semiring.tropical import NEG_INF
 
 
@@ -130,7 +130,7 @@ class TestScores:
                 return getattr(p, name)
 
         proxy = NoEdgeWeight()
-        from repro.ltdp.parallel import _price_path
+        from repro.ltdp.engine.driver import _price_path
 
         seq = solve_sequential(p)
         assert _price_path(proxy, seq.path) == seq.score
@@ -148,25 +148,16 @@ class TestExecutors:
         assert serial.score == threaded.score
         np.testing.assert_array_equal(serial.final_vector, threaded.final_vector)
 
-    def test_process_executor_identical(self, rng):
-        p = random_matrix_problem(16, 4, rng, integer=True)
-        serial = solve_parallel(p, num_procs=3, seed=3)
-        with ProcessExecutor() as ex:
-            forked = solve_parallel(
-                p, ParallelOptions(num_procs=3, seed=3, executor=ex)
-            )
-        np.testing.assert_array_equal(serial.path, forked.path)
-        assert serial.score == forked.score
-
-    def test_process_executor_propagates_worker_errors(self):
+    @pytest.mark.parametrize("kind", ["thread", "pool"])
+    def test_executor_propagates_worker_errors(self, kind):
         # Stage 1 collapses processor 1's vector to all--inf inside the
-        # forked worker; the failure must surface as ExecutorError.
+        # worker; the failure must surface as ExecutorError.
         bad = MatrixLTDPProblem(
             np.zeros(2),
             [np.full((2, 2), NEG_INF), np.zeros((2, 2))],
             allow_trivial=True,
         )
-        with ProcessExecutor() as ex:
+        with get_executor(kind, max_workers=2) as ex:
             with pytest.raises(ExecutorError):
                 solve_parallel(bad, ParallelOptions(num_procs=2, executor=ex))
 

@@ -27,7 +27,7 @@ from repro.ltdp.engine.forward import plan_initial_pass
 from repro.ltdp.engine.program import InstructionProgram
 from repro.ltdp.engine.runner import DeliveryPolicy, RunnerCrew
 from repro.ltdp.matrix_problem import random_matrix_problem
-from repro.ltdp.parallel import ParallelOptions, solve_parallel
+from repro.ltdp.engine.driver import ParallelOptions, solve_parallel
 from repro.ltdp.partition import partition_stages
 from repro.machine.executor import ThreadExecutor, get_executor
 from repro.machine.pool import PoolProcessExecutor
@@ -86,7 +86,7 @@ def assert_identical(got, base):
 class TestMultiRunnerBitIdentity:
     """runners=4 must be invisible in every result, on every runtime."""
 
-    @pytest.mark.parametrize("kind", ["serial", "thread", "process", "pool"])
+    @pytest.mark.parametrize("kind", ["serial", "thread", "pool"])
     @pytest.mark.parametrize("name", list(PROBLEMS))
     def test_four_runners_bit_identical(self, name, kind, serial_solutions):
         ex = get_executor(kind, max_workers=2)

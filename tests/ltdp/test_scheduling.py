@@ -16,7 +16,7 @@ import pytest
 from repro.datagen.sequences import homologous_pair
 from repro.ltdp.engine.forward import forward_phase, plan_fixup_round
 from repro.ltdp.engine.runtime import LocalRuntime
-from repro.ltdp.parallel import ParallelOptions, solve_parallel
+from repro.ltdp.engine.driver import ParallelOptions, solve_parallel
 from repro.ltdp.partition import partition_stages
 from repro.ltdp.sequential import solve_sequential
 from repro.machine.executor import SerialExecutor

@@ -43,7 +43,6 @@ class TestCapabilityProbe:
 
     def test_declared_names_are_closed_and_typed(self):
         assert "resident_state" in CAPABILITY_NAMES
-        assert "block_kernels" in CAPABILITY_NAMES
         caps = ExecutorCapabilities()
         for name in CAPABILITY_NAMES:
             assert isinstance(getattr(caps, name), bool)
@@ -54,8 +53,6 @@ class TestExecutorDeclarations:
         for ex in (SerialExecutor(), ThreadExecutor(max_workers=1)):
             try:
                 assert ex.capability("resident_state") is False
-                assert ex.capability("block_kernels") is True
-                assert ex.supports_resident_state is False
             finally:
                 ex.close()
 
@@ -63,9 +60,6 @@ class TestExecutorDeclarations:
         pool = get_executor("pool", max_workers=2)
         try:
             assert pool.capability("resident_state") is True
-            assert pool.capability("block_kernels") is True
-            # The legacy property survives, derived from the declaration.
-            assert pool.supports_resident_state is True
         finally:
             pool.close()
 

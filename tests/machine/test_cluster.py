@@ -39,7 +39,7 @@ class TestSimCluster:
         import numpy as np
 
         from repro.ltdp.matrix_problem import random_matrix_problem
-        from repro.ltdp.parallel import solve_parallel
+        from repro.ltdp.engine.driver import solve_parallel
 
         rng = np.random.default_rng(0)
         p = random_matrix_problem(200, 4, rng, integer=True)
@@ -60,7 +60,7 @@ class TestClusterExecutorIntegration:
         import numpy as np
 
         from repro.ltdp.matrix_problem import random_matrix_problem
-        from repro.ltdp.parallel import ParallelOptions, solve_parallel
+        from repro.ltdp.engine.driver import ParallelOptions, solve_parallel
         from repro.machine.executor import ThreadExecutor
 
         rng = np.random.default_rng(3)

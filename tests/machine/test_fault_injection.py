@@ -25,7 +25,7 @@ import pytest
 
 from repro.exceptions import ExecutorError
 from repro.ltdp.matrix_problem import random_matrix_problem
-from repro.ltdp.parallel import ParallelOptions, solve_parallel
+from repro.ltdp.engine.driver import ParallelOptions, solve_parallel
 from repro.machine.executor import SerialExecutor
 from repro.machine.pool import FAULT_PLAN_ENV, PoolProcessExecutor
 

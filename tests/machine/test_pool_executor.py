@@ -1,7 +1,6 @@
 """Tests for the persistent worker-pool executor.
 
-The pool's contract is what distinguishes it from the fork-per-task
-``ProcessExecutor``: workers are spawned once, their PIDs stay stable
+The pool's contract: workers are spawned once, their PIDs stay stable
 across supersteps *and* solves, and per-slot state survives between
 calls in the worker's namespace.
 """
@@ -13,7 +12,7 @@ import pytest
 
 from repro.exceptions import ExecutorError
 from repro.ltdp.matrix_problem import random_matrix_problem
-from repro.ltdp.parallel import ParallelOptions, solve_parallel
+from repro.ltdp.engine.driver import ParallelOptions, solve_parallel
 from repro.machine.pool import PoolProcessExecutor
 
 

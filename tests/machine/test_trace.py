@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.ltdp.matrix_problem import random_matrix_problem
-from repro.ltdp.parallel import solve_parallel
+from repro.ltdp.engine.driver import solve_parallel
 from repro.machine.cost_model import CostModel
 from repro.machine.metrics import RunMetrics, SuperstepRecord
 from repro.machine.trace import (

@@ -5,7 +5,7 @@ import pytest
 
 from repro.datagen.sequences import homologous_pair, random_dna
 from repro.exceptions import ProblemDefinitionError
-from repro.ltdp.parallel import solve_parallel
+from repro.ltdp.engine.driver import solve_parallel
 from repro.ltdp.sequential import solve_sequential
 from repro.ltdp.validation import validate_problem
 from repro.problems.alignment.bitparallel import (
@@ -139,7 +139,7 @@ class TestLCSProblem:
         assert sol.score == banded_lcs_length_reference(a, b, 10)
 
     def test_edge_weight_matches_probe(self, rng):
-        from repro.ltdp.parallel import edge_weight_by_probe
+        from repro.ltdp.engine.driver import edge_weight_by_probe
 
         p = LCSProblem(random_dna(12, rng), random_dna(12, rng), width=4)
         for i in (1, 5, 12):

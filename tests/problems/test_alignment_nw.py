@@ -5,7 +5,7 @@ import pytest
 
 from repro.datagen.sequences import homologous_pair, random_dna
 from repro.exceptions import ProblemDefinitionError
-from repro.ltdp.parallel import solve_parallel
+from repro.ltdp.engine.driver import solve_parallel
 from repro.ltdp.sequential import solve_sequential
 from repro.ltdp.validation import validate_problem
 from repro.problems.alignment.needleman_wunsch import NeedlemanWunschProblem
@@ -128,7 +128,7 @@ class TestNWProblem:
         assert report.ok, report.failures
 
     def test_edge_weight_matches_probe(self, rng):
-        from repro.ltdp.parallel import edge_weight_by_probe
+        from repro.ltdp.engine.driver import edge_weight_by_probe
 
         p = NeedlemanWunschProblem(random_dna(10, rng), random_dna(10, rng), width=3)
         for i in (1, 4, 10, 11):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.datagen.sequences import random_dna
 from repro.exceptions import ProblemDefinitionError
-from repro.ltdp.parallel import solve_parallel
+from repro.ltdp.engine.driver import solve_parallel
 from repro.ltdp.sequential import solve_sequential
 from repro.ltdp.validation import validate_problem
 from repro.problems.alignment.reference import sw_score_reference, sw_table

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ltdp.parallel import solve_parallel
+from repro.ltdp.engine.driver import solve_parallel
 from repro.ltdp.sequential import solve_sequential
 from repro.problems.alignment.blosum import (
     AMINO_ACIDS,

@@ -5,7 +5,7 @@ import pytest
 
 from repro.datagen.packets import random_packet
 from repro.exceptions import ProblemDefinitionError
-from repro.ltdp.parallel import solve_parallel
+from repro.ltdp.engine.driver import solve_parallel
 from repro.ltdp.sequential import solve_sequential
 from repro.ltdp.validation import validate_problem
 from repro.problems.channel import (
@@ -125,7 +125,7 @@ class TestSoftDecoder:
             SoftViterbiDecoderProblem(VOYAGER, np.array([1.0, np.inf]))
 
     def test_edge_weight_matches_probe(self, rng):
-        from repro.ltdp.parallel import edge_weight_by_probe
+        from repro.ltdp.engine.driver import edge_weight_by_probe
 
         payload = random_packet(16, rng)
         soft, _ = _soft_problem(VOYAGER, payload, rng, ebn0_db=3.0)

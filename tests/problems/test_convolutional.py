@@ -5,7 +5,7 @@ import pytest
 
 from repro.datagen.packets import make_received_packet, random_packet, transmit_bsc
 from repro.exceptions import ProblemDefinitionError
-from repro.ltdp.parallel import solve_parallel
+from repro.ltdp.engine.driver import solve_parallel
 from repro.ltdp.sequential import solve_sequential
 from repro.ltdp.validation import validate_problem
 from repro.problems.convolutional import (
@@ -164,7 +164,7 @@ class TestDecoderProblem:
         assert problem.stage_cost(1) == 2.0 * 64
 
     def test_edge_weight_matches_probe(self, rng):
-        from repro.ltdp.parallel import edge_weight_by_probe
+        from repro.ltdp.engine.driver import edge_weight_by_probe
 
         _, problem = make_received_packet(VOYAGER, 8, rng)
         for j in (0, 5, 63):

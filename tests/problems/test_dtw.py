@@ -5,7 +5,7 @@ import pytest
 
 from repro.datagen.sequences import random_series
 from repro.exceptions import ProblemDefinitionError
-from repro.ltdp.parallel import solve_parallel
+from repro.ltdp.engine.driver import solve_parallel
 from repro.ltdp.sequential import solve_sequential
 from repro.ltdp.validation import validate_problem
 from repro.problems.dtw import DTWProblem, dtw_distance_reference
@@ -75,7 +75,7 @@ class TestDTW:
         assert report.ok, report.failures
 
     def test_edge_weight_matches_probe(self, rng):
-        from repro.ltdp.parallel import edge_weight_by_probe
+        from repro.ltdp.engine.driver import edge_weight_by_probe
 
         p = DTWProblem(random_series(8, rng), random_series(8, rng), width=3)
         for i in (1, 4, 8):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datagen.packets import random_packet
-from repro.ltdp.parallel import solve_parallel
+from repro.ltdp.engine.driver import solve_parallel
 from repro.ltdp.sequential import solve_sequential
 from repro.problems.alignment.lcs import LCSProblem
 from repro.problems.alignment.needleman_wunsch import NeedlemanWunschProblem

@@ -5,7 +5,7 @@ import pytest
 
 from repro.datagen.packets import random_packet, transmit_bsc
 from repro.exceptions import ProblemDefinitionError
-from repro.ltdp.parallel import solve_parallel
+from repro.ltdp.engine.driver import solve_parallel
 from repro.ltdp.sequential import solve_sequential
 from repro.ltdp.validation import validate_problem
 from repro.problems.convolutional import (
@@ -98,7 +98,7 @@ class TestPuncturedDecoding:
             )
 
     def test_edge_weight_matches_probe(self, rng):
-        from repro.ltdp.parallel import edge_weight_by_probe
+        from repro.ltdp.engine.driver import edge_weight_by_probe
 
         _, problem = self.roundtrip(rng, error_rate=0.02, payload_bits=24)
         for j in (0, 21, 63):

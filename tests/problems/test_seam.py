@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ProblemDefinitionError
-from repro.ltdp.parallel import solve_parallel
+from repro.ltdp.engine.driver import solve_parallel
 from repro.ltdp.sequential import solve_sequential
 from repro.ltdp.validation import validate_problem
 from repro.problems.seam import (

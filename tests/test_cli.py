@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import PROBLEM_CHOICES, build_problem, main
+from repro.machine.executor import EXECUTOR_KINDS
 
 
 class TestInfo:
@@ -102,7 +103,7 @@ class TestSolve:
         names = {r.get("name") for r in records[1:]}
         assert {"superstep", "dispatch", "solve-start"} <= names
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process", "pool"])
+    @pytest.mark.parametrize("executor", EXECUTOR_KINDS)
     def test_executor_flag(self, executor, capsys):
         rc = main(
             [
