@@ -7,6 +7,8 @@ Commands
 ``solve``
     Build a synthetic instance of a chosen problem family, solve it
     sequentially and in parallel, verify they agree, report metrics.
+    Without ``--procs`` the cost model picks ``P`` and the report
+    prints its predicted sequential and parallel seconds.
 ``convergence``
     Run the Table-1 protocol (steps to rank-1 convergence) on a chosen
     instance.
@@ -20,9 +22,10 @@ Commands
     contracts (rules REP001-REP005, see ``docs/static_analysis.md``).
 ``serve``
     Request-serving selftest: stream ≥100 mixed decode/align requests
-    through one resident worker pool, answering near-duplicates by
-    §4.7 delta repair, verifying every answer against a sequential
-    solve (see ``docs/serving.md``).
+    through one service (each class at the ``P`` the cost model picks,
+    in-process or on the resident worker pool), answering
+    near-duplicates by repairing the resident answer, verifying every
+    answer against a sequential solve (see ``docs/serving.md``).
 ``bench``
     Longitudinal perf intelligence: ``record`` a suite run into the
     append-only JSONL history, ``compare`` two bench documents,
@@ -47,11 +50,19 @@ from repro.datagen.hmms import make_hmm_workload
 from repro.datagen.packets import make_received_packet
 from repro.datagen.sequences import homologous_pair, random_dna, random_series
 from repro.ltdp.convergence import measure_convergence_steps
+from repro.kernels import get_backend, kernel_tier_enabled
 from repro.ltdp.engine.driver import ParallelOptions, solve_parallel
+from repro.ltdp.engine.inprocess import SequentialAnswer
 from repro.ltdp.sequential import solve_sequential
 from repro.machine.cluster import SimCluster
 from repro.machine.executor import EXECUTOR_KINDS, Executor, get_executor
-from repro.machine.cost_model import CostModel, calibrate_cell_cost
+from repro.machine.cost_model import (
+    CostModel,
+    ProcChoice,
+    calibrate_cell_cost,
+    choose_num_procs,
+    min_pool_supersteps,
+)
 from repro.machine.trace import Tracer, render_gantt
 from repro.problems.alignment.lcs import LCSProblem
 from repro.problems.alignment.needleman_wunsch import NeedlemanWunschProblem
@@ -162,6 +173,26 @@ def cmd_info(_args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``repro solve``'s processor ceiling when ``--procs`` is not given.
+SOLVE_PROCS_CEILING = 8
+
+
+def _choose_procs(problem, executor: Executor) -> ProcChoice:
+    """The cost model's P for ``problem``, calibrated by one in-process solve.
+
+    Only the worker pool runs supersteps in separate processes, so the
+    serial and thread executors count as one worker (and always get 1).
+    """
+    get_backend()  # keep the backend load out of the measured sweep
+    answer = SequentialAnswer(problem, use_kernels=kernel_tier_enabled(None, problem))
+    return choose_num_procs(
+        answer.forward_seconds,
+        min(SOLVE_PROCS_CEILING, problem.num_stages),
+        workers=getattr(executor, "max_workers", 1),
+        supersteps=min_pool_supersteps(problem.tracks_stage_objective),
+    )
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     problem = build_problem(args)
     seq = solve_sequential(problem)
@@ -169,8 +200,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     # The with-block guarantees pool workers are reaped on every exit
     # path, including solver errors and ^C.
     with _build_executor(args) as executor:
+        choice = None
+        num_procs = args.procs
+        if num_procs is None:
+            choice = _choose_procs(problem, executor)
+            num_procs = choice.num_procs
         options = ParallelOptions(
-            num_procs=args.procs,
+            num_procs=num_procs,
             seed=args.seed,
             executor=executor,
             tracer=tracer,
@@ -185,6 +221,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"executor         : {args.executor}")
     print(f"runners          : {args.runners}")
     print(f"processors       : {m.num_procs}")
+    if choice is not None:
+        print(
+            f"P choice         : P={choice.num_procs} (predicted sequential "
+            f"{choice.seq_seconds:.6f} s, parallel {choice.parallel_seconds:.6f} s "
+            f"at P={choice.parallel_procs})"
+        )
     print(f"fix-up iterations: {m.forward_fixup_iterations}")
     print(f"critical work    : {m.critical_path_work:.0f} cells")
     print(f"total work       : {m.total_work:.0f} cells")
@@ -308,7 +350,13 @@ def main(argv: list[str] | None = None) -> int:
     p_solve = sub.add_parser("solve", help="solve one synthetic instance")
     _add_problem_args(p_solve)
     _add_runtime_args(p_solve)
-    p_solve.add_argument("--procs", type=int, default=8)
+    p_solve.add_argument(
+        "--procs",
+        type=_positive_int,
+        default=None,
+        help="processors, honoured as given; omitted, the cost model picks "
+        f"P <= {SOLVE_PROCS_CEILING} from one in-process solve",
+    )
     p_solve.add_argument(
         "--runners",
         type=_positive_int,
@@ -350,7 +398,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p_serve = sub.add_parser(
         "serve",
-        help="batched request serving on the resident pool (selftest)",
+        help="batched request serving, in-process or on the resident pool "
+        "(selftest)",
     )
     p_serve.add_argument(
         "--selftest",

@@ -55,7 +55,8 @@ class BandedBlockKernel(StageBlockKernel):
         "back dense) with the match-score plane spot-checked against "
         "match_score on the first and last rows; per call the input width "
         "must equal the stage-lo band width and the registry cross-checks "
-        "the first and last kernel-computed block stages (values, preds, "
+        "the first, a seeded interior and the last kernel-computed block "
+        "stages (values, preds, "
         "and capture state) against the dense kernel bit-for-bit; the "
         "width-1 selector stage always runs dense"
     )

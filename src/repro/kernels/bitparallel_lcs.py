@@ -54,8 +54,8 @@ class BitParallelLCSKernel(StageBlockKernel):
         "and no negative zeros, and the block is accepted only when a "
         "dense-op scan replay of the decoded rows reproduces them "
         "byte-for-byte (inductive exactness proof from the input vector); "
-        "the registry additionally cross-checks the first and last "
-        "kernel-computed stages against the dense kernel and the selector "
+        "the registry additionally cross-checks the first, a seeded interior "
+        "and the last kernel-computed stages against the dense kernel and the selector "
         "stage always runs dense"
     )
 

@@ -7,10 +7,11 @@ fingerprint — problems are re-pickled into every pool worker, so
 identity-keyed caching would never hit.
 
 Every accepted dispatch is re-proven: :func:`block_sweep` recomputes
-the first block stage, and the last kernel-computed stage from the
-sweep's own previous stage, with the problem's own dense per-stage
-kernel and compares values byte-for-byte (catching even ``-0.0`` sign
-flips), predecessors exactly, and — when §4.7 capture is on — every
+the first block stage, one interior stage chosen by a hash of the range
+and the last kernel-computed stage (the latter two from the sweep's own
+previous stage) with the problem's own dense per-stage kernel and
+compares values byte-for-byte (catching even ``-0.0`` sign flips),
+predecessors exactly, and — when §4.7 capture is on — every
 captured state plane.  Any disagreement silently discards the sweep
 and the caller runs the dense loop, which also owns raising proper
 errors for genuinely invalid inputs.
@@ -119,15 +120,31 @@ def _stage_matches(problem, i, v, sweep, r, capture_state) -> bool:
     return True
 
 
-def _sweep_matches(problem, lo, v, sweep, capture_state) -> bool:
-    """The dispatch gate: first and last kernel-computed stages."""
+def _spot_row(lo: int, hi: int, last: int) -> int:
+    """The interior row (``1 .. last - 1``) the gate re-derives for ``(lo, hi)``.
+
+    A multiplicative hash of the range, so the choice is deterministic
+    (every replay of a dispatch checks the same stage) yet spreads over
+    the block as ranges vary.
+    """
+    return 1 + ((lo * 2654435761 + hi * 40503) % (last - 1))
+
+
+def _sweep_matches(problem, lo, hi, v, sweep, capture_state) -> bool:
+    """The dispatch gate: first, one seeded interior, and last
+    kernel-computed stages, each re-derived from the sweep's own
+    previous row (the first from ``v``)."""
     if not _stage_matches(problem, lo + 1, v, sweep, 0, capture_state):
         return False
     last = len(sweep.values) - 1 - sweep.dense_tail
     if last < 1:
         return True
-    return _stage_matches(
-        problem, lo + 1 + last, sweep.values[last - 1], sweep, last, capture_state
+    rows = (_spot_row(lo, hi, last), last) if last > 1 else (last,)
+    return all(
+        _stage_matches(
+            problem, lo + 1 + r, sweep.values[r - 1], sweep, r, capture_state
+        )
+        for r in rows
     )
 
 
@@ -154,9 +171,9 @@ def block_sweep(problem, lo: int, hi: int, v, *, capture_state: bool = False) ->
     """One fast-path dispatch over stages ``lo+1 .. hi``, or ``None``.
 
     Tries each registered kernel in order; a sweep is returned only
-    after its first and last kernel-computed stages have been re-derived
-    densely (the last from the sweep's own previous stage) and matched
-    bit-for-bit.
+    after its first, one seeded interior and its last kernel-computed
+    stages have been re-derived densely (the later two from the sweep's
+    own previous stage) and matched bit-for-bit.
     """
     for kernel in registered_kernels(type(problem)):
         plan = _plan_for(kernel, problem)
@@ -168,7 +185,7 @@ def block_sweep(problem, lo: int, hi: int, v, *, capture_state: bool = False) ->
             sweep = None
         if sweep is None or not sweep.values:
             continue
-        if _sweep_matches(problem, lo, v, sweep, capture_state):
+        if _sweep_matches(problem, lo, hi, v, sweep, capture_state):
             return sweep
     return None
 

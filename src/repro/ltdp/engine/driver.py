@@ -40,11 +40,12 @@ from repro.ltdp.engine.backward import (
     objective_phase,
 )
 from repro.ltdp.engine.forward import forward_phase
+from repro.ltdp.engine.inprocess import SequentialAnswer
 from repro.ltdp.engine.runner import DeliveryPolicy
 from repro.ltdp.engine.runtime import LocalRuntime, SuperstepRuntime
 from repro.ltdp.partition import partition_stages
 from repro.ltdp.problem import LTDPProblem, LTDPSolution
-from repro.ltdp.sequential import solve_sequential
+from repro.ltdp.sequential import sequential_metrics
 from repro.machine.executor import Executor, SerialExecutor, executor_capability
 from repro.machine.metrics import RunMetrics
 from repro.machine.trace import NULL_TRACER, Tracer
@@ -64,7 +65,9 @@ class ParallelOptions:
     Attributes
     ----------
     num_procs:
-        Requested processor count ``P`` (clamped to the stage count).
+        Requested processor count ``P`` (clamped to the stage count),
+        honoured as given.  ``P = 1`` runs the kernel-tier sequential
+        solve in-process (one gated block sweep, then the traceback).
     executor:
         Where superstep tasks run; default serial (deterministic sim).
         Executors declaring the ``resident_state`` capability (the
@@ -113,8 +116,9 @@ class ParallelOptions:
         dispatch breakdown on the pool runtime).  ``None`` (default)
         records nothing: every layer then calls the shared disabled
         :data:`~repro.machine.trace.NULL_TRACER`.
-        Only multi-processor solves are traced; ``num_procs=1``
-        devolves to the sequential solver.
+        A ``num_procs=1`` solve runs the kernel-tier sequential solver
+        in-process (:mod:`~repro.ltdp.engine.inprocess`) and records
+        only its forward and backward ``phase`` spans.
     runners:
         Concurrent instruction runners pulling from the shared work
         queue (CLI ``--runners``).  1 (default) keeps the classic
@@ -349,11 +353,17 @@ def solve_parallel(
     ranges = partition_stages(n, options.num_procs)
     num_procs = len(ranges)
     if num_procs == 1:
-        solution = solve_sequential(
+        # No barrier can pay for itself with one processor: the
+        # kernel-tier sequential solve, recorded as one-processor work.
+        answer = SequentialAnswer(
             problem,
-            keep_stage_vectors=options.keep_stage_vectors,
-            with_metrics=True,
+            use_kernels=kernel_tier_enabled(options, problem),
+            tracer=options.tracer,
         )
+        solution = answer.solution
+        solution.metrics = sequential_metrics(problem)
+        if options.keep_stage_vectors:
+            solution.stage_vectors = list(answer.vectors)
         return solution
 
     metrics = RunMetrics(

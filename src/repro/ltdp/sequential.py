@@ -18,7 +18,13 @@ from repro.machine.metrics import RunMetrics, SuperstepRecord
 from repro.semiring.tropical import NEG_INF
 from repro.semiring.vector import is_zero_vector
 
-__all__ = ["forward_sequential", "backward_sequential", "solve_sequential"]
+__all__ = [
+    "forward_sequential",
+    "backward_sequential",
+    "sequential_metrics",
+    "sequential_solution",
+    "solve_sequential",
+]
 
 
 def forward_sequential(
@@ -112,6 +118,56 @@ def best_stage_objective(
     return best_val, best_stage, best_cell
 
 
+def sequential_metrics(problem: LTDPProblem) -> RunMetrics:
+    """The single-processor :class:`RunMetrics` of a sequential solve.
+
+    One forward record (every cell once) and one backward record (one
+    traceback step per stage), so the cost model prices a sequential
+    run consistently with parallel ones.
+    """
+    metrics = RunMetrics(
+        num_procs=1,
+        num_stages=problem.num_stages,
+        stage_width=problem.max_stage_width(),
+    )
+    metrics.record(
+        SuperstepRecord(label="forward", work=[problem.total_cells()], phase="forward")
+    )
+    metrics.record(
+        SuperstepRecord(
+            label="backward", work=[float(problem.num_stages)], phase="backward"
+        )
+    )
+    return metrics
+
+
+def sequential_solution(
+    final: np.ndarray,
+    pred: list[np.ndarray | None],
+    best: tuple[float, int, int] | None,
+) -> LTDPSolution:
+    """Trace back and assemble the answer of an exact forward pass.
+
+    ``final``, ``pred`` and ``best`` are what :func:`forward_sequential`
+    returns: the score is ``final[0]`` (exact, because the pass started
+    from the true ``s_0``), or the stage objective's optimum when
+    ``best`` is given.
+    """
+    if best is not None:
+        score, obj_stage, obj_cell = best
+        path = backward_sequential(pred, start_stage=obj_stage, start_cell=obj_cell)
+    else:
+        score, obj_stage, obj_cell = float(final[0]), None, None
+        path = backward_sequential(pred)
+    return LTDPSolution(
+        path=path,
+        score=float(score),
+        final_vector=final,
+        objective_stage=obj_stage,
+        objective_cell=obj_cell,
+    )
+
+
 def solve_sequential(
     problem: LTDPProblem,
     *,
@@ -120,44 +176,17 @@ def solve_sequential(
 ) -> LTDPSolution:
     """Solve an LTDP instance with the sequential algorithm (Fig 2).
 
-    With ``with_metrics`` the run is recorded as a single-processor
+    This is the dense per-stage loop and never touches the kernel tier:
+    it is the oracle every faster path is checked against.  With
+    ``with_metrics`` the run is recorded as a single-processor
     :class:`RunMetrics` so the cost model can price it consistently
     with parallel runs.
     """
     final, pred, vectors, best = forward_sequential(
         problem, keep_stage_vectors=keep_stage_vectors
     )
-    if best is not None:
-        score, obj_stage, obj_cell = best
-        path = backward_sequential(pred, start_stage=obj_stage, start_cell=obj_cell)
-    else:
-        score, obj_stage, obj_cell = float(final[0]), None, None
-        path = backward_sequential(pred)
-    metrics = None
+    solution = sequential_solution(final, pred, best)
+    solution.stage_vectors = vectors
     if with_metrics:
-        metrics = RunMetrics(
-            num_procs=1,
-            num_stages=problem.num_stages,
-            stage_width=problem.max_stage_width(),
-        )
-        metrics.record(
-            SuperstepRecord(
-                label="forward", work=[problem.total_cells()], phase="forward"
-            )
-        )
-        metrics.record(
-            SuperstepRecord(
-                label="backward",
-                work=[float(problem.num_stages)],
-                phase="backward",
-            )
-        )
-    return LTDPSolution(
-        path=path,
-        score=float(score),
-        final_vector=final,
-        metrics=metrics,
-        stage_vectors=vectors,
-        objective_stage=obj_stage,
-        objective_cell=obj_cell,
-    )
+        solution.metrics = sequential_metrics(problem)
+    return solution

@@ -26,7 +26,23 @@ from typing import Callable
 
 from repro.machine.metrics import RunMetrics
 
-__all__ = ["CostModel", "calibrate_cell_cost"]
+__all__ = [
+    "POOL_ROUND_TRIP_SECONDS",
+    "CostModel",
+    "ProcChoice",
+    "calibrate_cell_cost",
+    "choose_num_procs",
+    "min_pool_supersteps",
+    "predict_pool_seconds",
+]
+
+#: Measured wall-clock of one no-op superstep on the persistent worker
+#: pool: dispatch, worker wake-up and reply (median of 79 rounds, 2
+#: workers, Python 3.11, 2-vCPU Intel Xeon; EXPERIMENTS.md "Runtime
+#: overhead").  Every superstep of a pooled solve pays it on top of its
+#: compute, which is why it, not ``CostModel.barrier_latency``, prices
+#: the P choice below.
+POOL_ROUND_TRIP_SECONDS = 207e-6
 
 
 @dataclass(frozen=True)
@@ -124,3 +140,70 @@ def calibrate_cell_cost(
         calls += 1
         elapsed = _time.perf_counter() - start
     return elapsed / (calls * cells_per_call)
+
+
+def min_pool_supersteps(tracks_stage_objective: bool) -> int:
+    """Fewest supersteps a ``P > 1`` solve takes on the pool.
+
+    The forward pass and at least one fix-up round, the backward pass
+    and at least one backward fix-up round; stage-objective problems add
+    the objective reduction.  A lower bound, so the prediction below is
+    optimistic for the parallel side.
+    """
+    return 5 if tracks_stage_objective else 4
+
+
+def predict_pool_seconds(
+    seq_seconds: float,
+    num_procs: int,
+    *,
+    workers: int,
+    supersteps: int,
+    round_trip: float = POOL_ROUND_TRIP_SECONDS,
+) -> float:
+    """``T_seq / min(P, workers) + supersteps · round_trip``."""
+    return seq_seconds / min(num_procs, max(workers, 1)) + supersteps * round_trip
+
+
+@dataclass(frozen=True)
+class ProcChoice:
+    """Outcome of :func:`choose_num_procs`.
+
+    ``parallel_procs`` / ``parallel_seconds`` describe the best
+    ``P >= 2`` candidate (``0`` / ``inf`` when the ceiling is 1);
+    ``num_procs`` is that ``P`` if it beats ``seq_seconds``, else 1.
+    """
+
+    num_procs: int
+    seq_seconds: float
+    parallel_procs: int
+    parallel_seconds: float
+
+
+def choose_num_procs(
+    seq_seconds: float,
+    ceiling: int,
+    *,
+    workers: int,
+    supersteps: int,
+    round_trip: float = POOL_ROUND_TRIP_SECONDS,
+) -> ProcChoice:
+    """Pick ``P`` in ``1 .. ceiling`` for a solve whose sequential time is
+    ``seq_seconds``.
+
+    Each ``P >= 2`` is predicted by :func:`predict_pool_seconds`; the
+    fastest wins (the smallest ``P`` on ties, since processors past the
+    worker count add fix-up work the model does not charge).  ``P = 1``
+    is kept whenever no prediction beats the sequential time: parallel
+    DP must not cost more than the sequential algorithm it replaces.
+    """
+    best_p, best_t = 0, float("inf")
+    for p in range(2, ceiling + 1):
+        t = predict_pool_seconds(
+            seq_seconds, p, workers=workers, supersteps=supersteps,
+            round_trip=round_trip,
+        )
+        if t < best_t:
+            best_p, best_t = p, t
+    chosen = best_p if best_t < seq_seconds else 1
+    return ProcChoice(chosen, seq_seconds, best_p, best_t)

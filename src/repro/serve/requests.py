@@ -33,7 +33,7 @@ STATUS_REJECTED = "rejected"  # admission control (queue full / closed)
 STATUS_ERROR = "error"  # the solve itself failed (e.g. executor closed)
 
 #: Cache outcomes of a served (``ok``) request.
-CACHE_HIT = "hit"  # answered by delta repair of the resident solve
+CACHE_HIT = "hit"  # answered from / by repair of the resident solve
 CACHE_MISS = "miss"  # fresh solve (new family, shape, or undiffable)
 
 
@@ -74,9 +74,14 @@ class ServeResponse:
     ``solution`` is present iff ``status == STATUS_OK``; the service
     contract is that it is bit-identical (path, score, objective cell)
     to ``solve_sequential(problem)`` regardless of ``cache``.
-    ``delta_cells`` is the §4.7 changed-delta count of the serving
-    sweep (0 for misses and for hits whose perturbation died locally);
-    ``fixup_iterations`` the forward fix-up rounds the solve needed.
+    ``num_procs`` is the ``P`` the request was solved at: 1 in-process,
+    more on the pool, 0 when no solve was attempted (rejected).
+    ``delta_cells`` is the repair work of a hit: in-process, the cells
+    of the suffix sweep from the first dirty stage (0 for an exact
+    resend); on the pool, the §4.7 changed-delta count of the serving
+    sweep (0 for hits whose perturbation died locally).  Misses report
+    0.  ``fixup_iterations`` is the forward fix-up rounds the solve
+    needed (0 in-process).
     """
 
     request_id: int
@@ -86,6 +91,7 @@ class ServeResponse:
     latency_seconds: float = 0.0
     delta_cells: int = 0
     fixup_iterations: int = 0
+    num_procs: int = 0
     reason: str = ""
 
 

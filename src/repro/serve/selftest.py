@@ -3,14 +3,15 @@
 Generates a seeded stream of mixed requests — fresh problems and
 near-duplicates (1-3 symbol mutations of the current canonical) across
 two banded-alignment families — serves them all through one
-:class:`~repro.serve.service.LTDPService` on one resident worker pool,
-then verifies **every** successful response bit-identical against a
-fresh ``solve_sequential`` of the same problem and checks that the
-pool's workers are gone after the drain.
+:class:`~repro.serve.service.LTDPService`, then verifies **every**
+successful response bit-identical against a fresh ``solve_sequential``
+of the same problem and checks that the pool's workers are gone after
+the drain.
 
-The report is the PR's acceptance demo: ≥ 100 requests served, cache
-hits answered by the §4.7 delta-repair path (``delta_cells > 0``),
-zero mismatches, zero leaked workers.
+The report is the serving layer's acceptance demo: ≥ 100 requests
+served, cache hits answered by repairing the resident answer
+(``delta_cells > 0``), zero mismatches, zero leaked workers, and the
+count of requests solved in-process (``P = 1``) vs on the pool.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ class SelftestReport:
     hits: int = 0
     misses: int = 0
     delta_cells: int = 0
+    sequential: int = 0
+    parallel: int = 0
     leaked_workers: int = 0
     wall_seconds: float = 0.0
     min_served: int = 100
@@ -73,7 +76,9 @@ class SelftestReport:
             f"cache              : {self.hits} hits / {self.misses} misses "
             f"(hit rate {hit_rate:.0%})",
             f"delta cells        : {self.delta_cells} "
-            "(changed-delta work of the repair sweeps)",
+            "(work of the repair sweeps)",
+            f"P choice           : {self.sequential} in-process (P=1) / "
+            f"{self.parallel} pooled (P>1)",
             f"leaked workers     : {self.leaked_workers}",
             f"wall               : {self.wall_seconds:.2f} s",
             f"passed             : {self.passed}",
@@ -169,6 +174,10 @@ def run_selftest(
                 report.errors += 1
             continue
         report.served_ok += 1
+        if response.num_procs == 1:
+            report.sequential += 1
+        else:
+            report.parallel += 1
         if response.cache == CACHE_HIT:
             report.hits += 1
         else:

@@ -1,18 +1,27 @@
-"""`repro serve`: batched request serving on one resident worker pool.
+"""`repro serve`: batched request serving, in-process or on one pool.
 
 :class:`LTDPService` accepts a stream of decode/align requests (each an
 :class:`~repro.ltdp.problem.LTDPProblem`), applies admission control at
 the door (bounded queue; reject-with-reason, never block or drop
 silently), and serves them from a single batcher thread that drains the
-queue, groups same-class requests (:func:`~repro.serve.requests.
-request_class`) and sweeps each group over that class's
-:class:`~repro.serve.session.ResidentSession` — one persistent
-:class:`~repro.machine.pool.PoolProcessExecutor` under all of them.
+queue and groups same-class requests (:func:`~repro.serve.requests.
+request_class`).
 
-Near-duplicate requests are answered by §4.7 sparse delta repair of the
-class's resident canonical solve; everything is counted per request
-class (hits, misses, rejections, changed delta cells, latency) and
-every answer is bit-identical to a fresh sequential solve.
+Each request class is solved at the processor count ``P`` the cost
+model picks (:func:`~repro.machine.cost_model.choose_num_procs`), with
+the service's ``num_procs`` as the ceiling.  A class's first request is
+always solved in-process by the kernel-tier sequential solver, which
+calibrates the class's sequential time.  Classes whose predicted pooled
+time does not beat it stay in-process (``P = 1``, no pool round trip):
+the class's last answer stays resident, an exact resend is a hit, and a
+near-duplicate is a hit repaired by one sweep of the suffix from its
+first dirty stage.  Classes the model sends to ``P > 1`` are served by a
+:class:`~repro.serve.session.ResidentSession` on one persistent
+:class:`~repro.machine.pool.PoolProcessExecutor`, near-duplicates by
+§4.7 delta repair of the resident solve.  Everything is counted per
+request class (hits, misses, rejections, delta cells, sequential vs
+parallel choices, latency) and every answer is bit-identical to a fresh
+sequential solve.
 
 Shutdown is a graceful drain: ``close()`` stops admissions, lets the
 batcher finish the queue, tears down the resident sessions and (when
@@ -32,12 +41,16 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
 from repro.exceptions import ExecutorError, ReproError
+from repro.kernels import get_backend, kernel_tier_enabled
+from repro.ltdp.engine.inprocess import SequentialAnswer
 from repro.ltdp.problem import LTDPProblem
+from repro.machine.cost_model import choose_num_procs, min_pool_supersteps
 from repro.machine.executor import executor_capability
 from repro.machine.trace import NULL_TRACER, Tracer
 
 from repro.serve.requests import (
     CACHE_HIT,
+    CACHE_MISS,
     STATUS_ERROR,
     STATUS_OK,
     STATUS_REJECTED,
@@ -62,6 +75,10 @@ class ClassStats:
     rejected: int = 0
     errors: int = 0
     delta_cells: int = 0
+    #: Served requests (ok or error) solved in-process at ``P = 1``...
+    sequential: int = 0
+    #: ...and on the pool at ``P > 1``.
+    parallel: int = 0
     latency_total: float = 0.0
     latency_max: float = 0.0
 
@@ -70,6 +87,10 @@ class ClassStats:
         if response.status == STATUS_REJECTED:
             self.rejected += 1
             return
+        if response.num_procs == 1:
+            self.sequential += 1
+        elif response.num_procs > 1:
+            self.parallel += 1
         if response.status == STATUS_ERROR:
             self.errors += 1
             return
@@ -91,6 +112,8 @@ class ClassStats:
             rejected=self.rejected + other.rejected,
             errors=self.errors + other.errors,
             delta_cells=self.delta_cells + other.delta_cells,
+            sequential=self.sequential + other.sequential,
+            parallel=self.parallel + other.parallel,
             latency_total=self.latency_total + other.latency_total,
             latency_max=max(self.latency_max, other.latency_max),
         )
@@ -105,9 +128,32 @@ class ClassStats:
             "rejected": self.rejected,
             "errors": self.errors,
             "delta_cells": self.delta_cells,
+            "sequential": self.sequential,
+            "parallel": self.parallel,
             "latency_mean_seconds": mean,
             "latency_max_seconds": self.latency_max,
         }
+
+
+@dataclass
+class _ClassEntry:
+    """One request class's resident state (batcher thread only).
+
+    ``seq_seconds`` is the class's sequential time, measured by its
+    first (in-process) solve: the forward sweep's seconds, i.e. the
+    calibrated ``cell_cost`` times ``total_cells()``, which every
+    problem of one class shares.  ``answer`` is the in-process resident
+    answer; ``session`` the pool session once the class runs at
+    ``P > 1``.
+    """
+
+    seq_seconds: float | None = None
+    answer: SequentialAnswer | None = None
+    session: ResidentSession | None = None
+
+    def finish(self) -> None:
+        if self.session is not None:
+            self.session.finish()
 
 
 @dataclass
@@ -120,25 +166,31 @@ class _ServiceState:
 
 
 class LTDPService:
-    """In-process request-serving front-end over one persistent pool.
+    """Request-serving front-end: in-process or over one persistent pool.
 
     Parameters
     ----------
     executor:
-        A :class:`~repro.machine.pool.PoolProcessExecutor` to serve on;
-        ``None`` (default) creates one (``max_workers``) that the
-        service owns and closes.
+        A :class:`~repro.machine.pool.PoolProcessExecutor` to serve
+        ``P > 1`` classes on; ``None`` (default) creates one
+        (``max_workers``) that the service owns and closes.  Its workers
+        spawn on first dispatch, so a service whose classes all stay
+        in-process never starts them.
     num_procs:
-        Virtual processors per solve (each session's partition).
+        Ceiling on the virtual processors per solve.  Each class runs at
+        the ``P`` the cost model picks under it: 1 (in-process) until
+        its first solve has calibrated it, then 1 whenever the predicted
+        pooled time does not beat the measured sequential one.
     max_queue:
         Admission-control bound: a ``submit`` finding this many requests
         already queued is rejected immediately with a reason.
     max_sessions:
-        Resident-session cap; least-recently-used classes are evicted
-        (their worker-side state dropped) past it.
+        Resident-class cap; least-recently-used classes are evicted
+        (their resident answer, calibration and worker-side state
+        dropped) past it.
     use_delta:
-        §4.7 delta mode for the solves (required for sparse cache
-        repair; on by default).
+        §4.7 delta mode for the pooled solves (required for sparse
+        cache repair; on by default).
     seed:
         Seed of the solves' random ``nz`` start vectors.
     tracer:
@@ -186,15 +238,18 @@ class LTDPService:
         self.seed = seed
         self.tracer = tracer or NULL_TRACER
         self.journal_cap = journal_cap
+        # Load the kernel backend now, not inside a class's first solve,
+        # whose time calibrates the class's P choice.
+        get_backend()
 
         self._cond = threading.Condition()
         self._state = _ServiceState()  # guarded-by: self._cond
         self._thread: threading.Thread | None = None  # guarded-by: self._cond
         # Batcher-thread-only state (no guard): ``_ids`` is an atomic
-        # counter; ``_sessions`` is touched by the serve loop and, after
+        # counter; ``_classes`` is touched by the serve loop and, after
         # the thread has been joined, by ``close()``.
         self._ids = itertools.count(1)
-        self._sessions: "OrderedDict[tuple, ResidentSession]" = OrderedDict()
+        self._classes: "OrderedDict[tuple, _ClassEntry]" = OrderedDict()
         self._stats: dict[str, ClassStats] = {}  # guarded-by: self._cond
 
     # -- admission ------------------------------------------------------
@@ -273,9 +328,9 @@ class LTDPService:
                 self._resolve_rejected(
                     req, "service closed before the request was served"
                 )
-        for session in self._sessions.values():
-            session.finish()
-        self._sessions.clear()
+        for entry in self._classes.values():
+            entry.finish()
+        self._classes.clear()
         if self._own_executor:
             self.executor.close()
         with self._cond:
@@ -310,37 +365,96 @@ class LTDPService:
                     for req in reqs:
                         self._serve_one(req)
 
-    def _session_for(self, req: PendingRequest) -> ResidentSession:
-        session = self._sessions.get(req.key)
-        if session is not None:
-            self._sessions.move_to_end(req.key)
-            return session
-        while len(self._sessions) >= self.max_sessions:
-            _, evicted = self._sessions.popitem(last=False)
+    def _entry_for(self, key: tuple) -> _ClassEntry:
+        entry = self._classes.get(key)
+        if entry is not None:
+            self._classes.move_to_end(key)
+            return entry
+        while len(self._classes) >= self.max_sessions:
+            _, evicted = self._classes.popitem(last=False)
             evicted.finish()
-        session = ResidentSession(
-            self.executor,
-            req.problem,
-            num_procs=self.num_procs,
-            use_delta=self.use_delta,
-            seed=self.seed,
-            tracer=self.tracer,
-            journal_cap=self.journal_cap,
-        )
-        self._sessions[req.key] = session
-        return session
+        entry = self._classes[key] = _ClassEntry()
+        return entry
+
+    def _procs_for(self, entry: _ClassEntry, problem: LTDPProblem) -> int:
+        """The P choice: 1 until the class is calibrated, then the model's."""
+        if entry.seq_seconds is None:
+            return 1
+        return choose_num_procs(
+            entry.seq_seconds,
+            min(self.num_procs, problem.num_stages),
+            workers=getattr(self.executor, "max_workers", 1),
+            supersteps=min_pool_supersteps(problem.tracks_stage_objective),
+        ).num_procs
+
+    def _solve_in_process(self, entry: _ClassEntry, problem: LTDPProblem):
+        """Answer at P = 1; returns ``(solution, cache_tag, delta_cells)``."""
+        answer = entry.answer
+        dirty = None
+        if answer is not None:
+            dirty = problem.dirty_stages_against(answer.problem)
+        if dirty is None:
+            answer = SequentialAnswer(
+                problem,
+                use_kernels=kernel_tier_enabled(None, problem),
+                tracer=self.tracer,
+            )
+            entry.answer = answer
+            if entry.seq_seconds is None:
+                entry.seq_seconds = answer.forward_seconds
+            return answer.solution, CACHE_MISS, 0
+        if not dirty:
+            return answer.solution, CACHE_HIT, 0
+        try:
+            cells = answer.repair(problem, dirty)
+        except ReproError:
+            # A failed repair leaves the resident state half-swept.
+            entry.answer = None
+            raise
+        return answer.solution, CACHE_HIT, int(cells)
+
+    def _solve_pooled(
+        self, entry: _ClassEntry, problem: LTDPProblem, num_procs: int
+    ):
+        """Answer at P > 1 on the class's resident pool session."""
+        if entry.session is None:
+            entry.answer = None  # the class is served on the pool from now on
+            entry.session = ResidentSession(
+                self.executor,
+                problem,
+                num_procs=num_procs,
+                use_delta=self.use_delta,
+                seed=self.seed,
+                tracer=self.tracer,
+                journal_cap=self.journal_cap,
+            )
+        return entry.session.serve(problem)
 
     def _serve_one(self, req: PendingRequest) -> None:
         t0 = time.perf_counter()
+        num_procs = 0
         with self.tracer.span("serve.request", request_id=req.request_id):
             try:
-                session = self._session_for(req)
-                solution, cache, metrics = session.serve(req.problem)
+                entry = self._entry_for(req.key)
+                num_procs = self._procs_for(entry, req.problem)
+                fixups = 0
+                if num_procs == 1:
+                    solution, cache, delta_cells = self._solve_in_process(
+                        entry, req.problem
+                    )
+                else:
+                    solution, cache, metrics = self._solve_pooled(
+                        entry, req.problem, num_procs
+                    )
+                    num_procs = metrics.num_procs
+                    delta_cells = int(sum(metrics.fixup_changed_deltas))
+                    fixups = metrics.forward_fixup_iterations
             except ExecutorError as exc:
                 response = ServeResponse(
                     request_id=req.request_id,
                     status=STATUS_ERROR,
                     latency_seconds=time.perf_counter() - t0,
+                    num_procs=num_procs,
                     reason=f"executor failure: {exc}",
                 )
             except ReproError as exc:
@@ -348,6 +462,7 @@ class LTDPService:
                     request_id=req.request_id,
                     status=STATUS_ERROR,
                     latency_seconds=time.perf_counter() - t0,
+                    num_procs=num_procs,
                     reason=f"solve failure: {exc}",
                 )
             else:
@@ -357,8 +472,9 @@ class LTDPService:
                     cache=cache,
                     solution=solution,
                     latency_seconds=time.perf_counter() - t0,
-                    delta_cells=int(sum(metrics.fixup_changed_deltas)),
-                    fixup_iterations=metrics.forward_fixup_iterations,
+                    delta_cells=delta_cells,
+                    fixup_iterations=fixups,
+                    num_procs=num_procs,
                 )
         with self._cond:
             self._stats.setdefault(class_label(req.key), ClassStats()).observe(

@@ -308,6 +308,80 @@ class TestLastStageGate:
         assert got.score == want.score
 
 
+class _InteriorStageLiar(_LastStageLiar):
+    """Test stub: right everywhere except one cell of the interior row the
+    gate's seeded spot check re-derives."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = f"interior-stage-liar/{inner.name}"
+
+    def run(self, problem, plan, lo, hi, v, *, capture_state=False):
+        sweep = self.inner.run(problem, plan, lo, hi, v, capture_state=capture_state)
+        if sweep is not None:
+            last = len(sweep.values) - 1 - sweep.dense_tail
+            r = kregistry._spot_row(lo, hi, last)
+            bad = np.array(sweep.values[r], copy=True)
+            bad[int(np.argmax(bad))] += 3.0  # a finite cell
+            sweep.values[r] = bad
+        return sweep
+
+
+@pytest.fixture
+def interior_liars(monkeypatch):
+    """Replace every shipped kernel with its interior-row-lying wrapper."""
+    for problem_type, kernels in list(kregistry._KERNELS.items()):
+        monkeypatch.setitem(
+            kregistry._KERNELS,
+            problem_type,
+            tuple(_InteriorStageLiar(k) for k in kernels),
+        )
+    yield
+    reset_plan_cache()
+
+
+class TestInteriorSpotGate:
+    """The gate also re-derives one seeded interior stage from the sweep's
+    own previous row, so a kernel wrong only inside the block is caught."""
+
+    @pytest.mark.parametrize("lo,hi,last", [(0, 30, 29), (7, 61, 52), (3, 5, 2)])
+    def test_spot_row_is_interior_and_deterministic(self, lo, hi, last):
+        r = kregistry._spot_row(lo, hi, last)
+        assert 1 <= r <= last - 1
+        assert r == kregistry._spot_row(lo, hi, last)
+
+    @pytest.mark.parametrize("name", ["lcs-full", "lcs-banded", "nw-sub", "vit-hard"])
+    def test_lying_sweep_discarded(self, name, interior_liars):
+        problem = PROBLEMS[name]
+        v = problem.initial_vector()
+        hi = problem.num_stages
+        for kernel in registered_kernels(type(problem)):
+            plan = kernel.plan(problem)
+            sweep = None if plan is None else kernel.run(problem, plan, 0, hi, v)
+            if sweep is None:
+                continue
+            # First and last stages are honest: only the spot check refuses
+            # (unless the spot row feeds the last one, which then fails too).
+            last = len(sweep.values) - 1 - sweep.dense_tail
+            assert kregistry._stage_matches(problem, 1, v, sweep, 0, False)
+            last_ok = kregistry._stage_matches(
+                problem, 1 + last, sweep.values[last - 1], sweep, last, False
+            )
+            assert last_ok == (kregistry._spot_row(0, hi, last) < last - 1)
+        assert block_sweep(problem, 0, hi, v) is None
+
+    @pytest.mark.parametrize("name", ["lcs-full", "lcs-banded", "nw-sub", "vit-hard"])
+    def test_in_process_solve_falls_back_bit_identical(self, name, interior_liars):
+        from repro.ltdp.engine.driver import solve_parallel
+        from repro.ltdp.sequential import solve_sequential
+
+        problem = PROBLEMS[name]
+        got = solve_parallel(problem, num_procs=1, use_kernels=True)
+        want = solve_sequential(problem)
+        np.testing.assert_array_equal(got.path, want.path)
+        assert got.score == want.score
+
+
 class TestPlanCache:
     def test_equal_content_problems_share_one_plan(self):
         reset_plan_cache()

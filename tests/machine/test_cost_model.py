@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.machine.cost_model import CostModel, calibrate_cell_cost
+from repro.machine.cost_model import (
+    POOL_ROUND_TRIP_SECONDS,
+    CostModel,
+    calibrate_cell_cost,
+    choose_num_procs,
+    min_pool_supersteps,
+    predict_pool_seconds,
+)
 from repro.machine.metrics import CommEvent, RunMetrics, SuperstepRecord
 
 
@@ -94,3 +101,47 @@ class TestCalibration:
         fast_cost = calibrate_cell_cost(fast, a.size, min_seconds=0.02)
         slow_cost = calibrate_cell_cost(slow, a.size, min_seconds=0.02)
         assert slow_cost > fast_cost
+
+
+class TestProcChoice:
+    """The per-request P choice: pooled time must beat the sequential one."""
+
+    def test_serve_mix_sized_class_stays_sequential(self):
+        # A 48-base LCS/NW request: about 0.4 ms of kernel-tier sweep.
+        choice = choose_num_procs(
+            4e-4, 2, workers=2, supersteps=min_pool_supersteps(False)
+        )
+        assert choice.num_procs == 1
+        assert choice.parallel_procs == 2
+        assert choice.parallel_seconds > choice.seq_seconds
+
+    def test_large_class_tiny_round_trip_gets_the_ceiling(self):
+        choice = choose_num_procs(
+            10.0, 6, workers=8, supersteps=5, round_trip=1e-9
+        )
+        assert choice.num_procs == 6
+        assert choice.parallel_seconds == pytest.approx(10.0 / 6 + 5e-9)
+
+    @pytest.mark.parametrize("ceiling", [1, 2, 3, 5, 16])
+    @pytest.mark.parametrize("workers", [1, 2, 64])
+    def test_ceiling_never_exceeded(self, ceiling, workers):
+        for seq in (1e-6, 1e-3, 1.0, 1e3):
+            choice = choose_num_procs(
+                seq, ceiling, workers=workers, supersteps=4, round_trip=1e-12
+            )
+            assert 1 <= choice.num_procs <= ceiling
+
+    def test_workers_cap_the_useful_p(self):
+        # Past the worker count the model predicts no further gain, and
+        # ties go to the smaller P.
+        choice = choose_num_procs(1.0, 8, workers=2, supersteps=4)
+        assert choice.num_procs == 2
+
+    def test_one_worker_never_parallel(self):
+        choice = choose_num_procs(1e3, 8, workers=1, supersteps=4)
+        assert choice.num_procs == 1
+
+    def test_prediction_formula(self):
+        t = predict_pool_seconds(1.0, 4, workers=2, supersteps=4)
+        assert t == pytest.approx(0.5 + 4 * POOL_ROUND_TRIP_SECONDS)
+        assert min_pool_supersteps(True) == min_pool_supersteps(False) + 1

@@ -1,6 +1,7 @@
-"""The serve hit path runs through the stage-block kernel, not per stage.
+"""The pooled serve hit path runs through the stage-block kernel, not per stage.
 
-A near-duplicate request is answered by repairing the resident solve:
+The P choice is pinned to the service's ceiling, so every request takes
+the pool path this module is about.  A near-duplicate request is answered by repairing the resident solve:
 one :class:`~repro.ltdp.engine.specs.DeltaRepairSpec` sweep per dirty
 range, then §4.7 delta fix-up rounds.  With the kernel tier on, both
 must reach the block kernel; the per-stage sparse kernel is only the
@@ -45,7 +46,7 @@ def _no_block(*args, **kwargs):
 
 
 @pytest.mark.parametrize("tier", ["auto", "off"])
-def test_hits_and_fixups_take_the_tier_selected_path(tier, monkeypatch):
+def test_hits_and_fixups_take_the_tier_selected_path(tier, monkeypatch, pin_pool_path):
     if tier == "auto":
         monkeypatch.delenv("REPRO_KERNELS", raising=False)
         monkeypatch.setattr(LCSProblem, "apply_stage_sparse", _no_sparse)

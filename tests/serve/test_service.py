@@ -127,7 +127,11 @@ class TestConcurrentClients:
         assert service.executor.closed
         assert not any(_pid_alive(pid) for pid in pids)
 
-    def test_exact_duplicate_is_the_cheapest_hit(self):
+    def test_exact_duplicate_is_the_cheapest_hit(self, pin_pool_path):
+        # Pinned to the pool: left to the model, a class whose measured
+        # sequential time sits near the pool's break-even could move to
+        # the pool after its first solve, making the resend a miss.  The
+        # in-process resend is covered in test_in_process.py.
         rng = np.random.default_rng(3)
         problem = LCSProblem(
             *homologous_pair(SIZE, rng, divergence=0.1), width=WIDTH
@@ -211,8 +215,10 @@ class TestTeardown:
         stats = service.close()
         assert stats["total"]["ok"] == 1
 
-    def test_executor_closed_underneath_yields_error_responses(self):
+    def test_executor_closed_underneath_yields_error_responses(self, pin_pool_path):
         """A request racing executor shutdown resolves as ``error``.
+
+        The P choice is pinned to the ceiling so the requests use the pool.
 
         The drain path relies on the executor close contract: dispatch
         after close() raises ExecutorError deterministically, so the

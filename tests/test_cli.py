@@ -35,6 +35,37 @@ class TestSolve:
         assert rc == 0
         assert "parallel == seq  : True" in out
 
+    @pytest.mark.parametrize("problem", ["lcs", "sw", "viterbi"])
+    def test_omitted_procs_uses_the_chooser(self, problem, capsys):
+        # The serial executor counts as one worker: P = 1 always wins.
+        args = ["solve", "--problem", problem, "--size", "120", "--width", "12"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "parallel == seq  : True" in out
+        assert "processors       : 1" in out
+        assert "P choice         : P=1 (predicted sequential" in out
+
+    def test_omitted_procs_on_the_pool_prints_a_bounded_choice(self, capsys):
+        args = [
+            "solve", "--problem", "viterbi", "--size", "300",
+            "--executor", "pool", "--workers", "2",
+        ]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "parallel == seq  : True" in out
+        line = next(ln for ln in out.splitlines() if ln.startswith("P choice"))
+        chosen = int(line.split("P=")[1].split()[0])
+        assert 1 <= chosen <= 2  # two workers cap the useful P
+        assert f"processors       : {chosen}" in out
+
+    def test_explicit_procs_is_honoured(self, capsys):
+        args = ["solve", "--problem", "lcs", "--size", "60", "--width", "8",
+                "--procs", "5"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "processors       : 5" in out
+        assert "P choice" not in out
+
     def test_reports_metrics(self, capsys):
         main(["solve", "--problem", "lcs", "--size", "200", "--procs", "4"])
         out = capsys.readouterr().out
