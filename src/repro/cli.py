@@ -61,7 +61,6 @@ from repro.machine.cost_model import (
     ProcChoice,
     calibrate_cell_cost,
     choose_num_procs,
-    min_pool_supersteps,
 )
 from repro.machine.trace import Tracer, render_gantt
 from repro.problems.alignment.lcs import LCSProblem
@@ -178,18 +177,11 @@ SOLVE_PROCS_CEILING = 8
 
 
 def _choose_procs(problem, executor: Executor) -> ProcChoice:
-    """The cost model's P for ``problem``, calibrated by one in-process solve.
-
-    Only the worker pool runs supersteps in separate processes, so the
-    serial and thread executors count as one worker (and always get 1).
-    """
+    """The cost model's P for ``problem``, calibrated by one in-process solve."""
     get_backend()  # keep the backend load out of the measured sweep
     answer = SequentialAnswer(problem, use_kernels=kernel_tier_enabled(None, problem))
     return choose_num_procs(
-        answer.forward_seconds,
-        min(SOLVE_PROCS_CEILING, problem.num_stages),
-        workers=getattr(executor, "max_workers", 1),
-        supersteps=min_pool_supersteps(problem.tracks_stage_objective),
+        answer.forward_seconds, SOLVE_PROCS_CEILING, problem, executor
     )
 
 

@@ -6,8 +6,9 @@ Every stage vector is exact (the sweep never starts from a guessed
 vector), so the score is ``s_n[0]`` itself and the answer is
 bit-identical to :func:`~repro.ltdp.sequential.solve_sequential`.
 Whenever the tier is off for the problem, no kernel accepts the sweep,
-or the sweep hits an all-0̄ stage, the dense per-stage loop runs
-instead (and raises the proper :class:`~repro.exceptions.ZeroVectorError`).
+the sweep hits an all-0̄ stage, or the problem tracks a stage objective,
+the dense :func:`~repro.ltdp.sequential.forward_sequential` runs instead
+(and raises the proper :class:`~repro.exceptions.ZeroVectorError`).
 
 :class:`SequentialAnswer` keeps that exact forward state resident, so
 the serving layer can answer a near-duplicate request by re-sweeping
@@ -20,11 +21,9 @@ from __future__ import annotations
 
 import time
 
-from repro.exceptions import ZeroVectorError
 from repro.ltdp.problem import LTDPProblem, LTDPSolution
-from repro.ltdp.sequential import sequential_solution
+from repro.ltdp.sequential import forward_sequential, sequential_solution
 from repro.machine.trace import NULL_TRACER, Tracer
-from repro.semiring.vector import is_zero_vector
 
 __all__ = ["SequentialAnswer"]
 
@@ -52,12 +51,6 @@ class SequentialAnswer:
         self.vectors: list = [None] * (n + 1)
         self.vectors[0] = problem.initial_vector()
         self.preds: list = [None] * (n + 1)
-        # Per-stage (value, cell) of the shift-invariant objective, so a
-        # repair re-evaluates only the stages it recomputed.
-        self.objectives: list | None = None
-        if problem.tracks_stage_objective:
-            self.objectives = [None] * (n + 1)
-            self.objectives[0] = problem.stage_objective(0, self.vectors[0])
         self.forward_seconds = 0.0
         self.swept_cells = 0.0
         self.solution = self._solve_from(0)
@@ -67,27 +60,30 @@ class SequentialAnswer:
         only at the ``dirty`` stages (``dirty_stages_against`` proved it).
 
         Stages before ``min(dirty)`` are untouched; the suffix is swept
-        again from the stored exact vector.  Returns the cells recomputed.
+        again from the stored exact vector (a stage-objective problem,
+        whose optimum may lie in the prefix, is solved again whole).
+        Returns the cells recomputed.
         """
         self.problem = problem
-        self.solution = self._solve_from(min(dirty) - 1)
+        start = 0 if problem.tracks_stage_objective else min(dirty) - 1
+        self.solution = self._solve_from(start)
         return self.swept_cells
 
     # ------------------------------------------------------------------
     def _solve_from(self, start: int) -> LTDPSolution:
         t0 = time.perf_counter()
         with self.tracer.span("phase", phase="forward"):
-            self._forward_from(start)
-            self._objectives_from(start)
-            best = self._best_objective()
+            best = self._forward_from(start)
         self.forward_seconds = time.perf_counter() - t0
         with self.tracer.span("phase", phase="backward"):
             return sequential_solution(self.vectors[-1], self.preds, best)
 
-    def _forward_from(self, start: int) -> None:
+    def _forward_from(self, start: int) -> tuple[float, int, int] | None:
+        """Sweep stages ``start + 1 .. n``; returns the stage objective's
+        optimum (``None`` for problems without one)."""
         problem = self.problem
         n = problem.num_stages
-        if self.use_kernels:
+        if self.use_kernels and not problem.tracks_stage_objective:
             from repro.kernels import block_sweep
 
             sweep = block_sweep(problem, start, n, self.vectors[start])
@@ -95,34 +91,16 @@ class SequentialAnswer:
                 self.vectors[start + 1 :] = sweep.values
                 self.preds[start + 1 :] = sweep.preds
                 self.swept_cells = float(sweep.costs.sum())
-                return
-        s = self.vectors[start]
-        self.swept_cells = 0.0
-        for i in range(start + 1, n + 1):
-            s, p = problem.apply_stage_with_pred(i, s)
-            if is_zero_vector(s):
-                raise ZeroVectorError(
-                    f"stage {i} produced an all--inf vector; the instance has a "
-                    "trivial transformation (see paper §4.5)"
-                )
-            self.vectors[i] = s
-            self.preds[i] = p
-            self.swept_cells += problem.stage_cost(i)
-
-    def _objectives_from(self, start: int) -> None:
-        if self.objectives is None:
-            return
-        for i in range(start + 1, self.problem.num_stages + 1):
-            self.objectives[i] = self.problem.stage_objective(i, self.vectors[i])
-
-    def _best_objective(self) -> tuple[float, int, int] | None:
-        """The running reduction of ``forward_sequential``: earliest stage wins ties."""
-        if self.objectives is None:
-            return None
-        val, cell = self.objectives[0]
-        best = (val, 0, cell)
-        for i in range(1, len(self.objectives)):
-            val, cell = self.objectives[i]
-            if val > best[0]:
-                best = (val, i, cell)
+                return None
+        _, preds, vectors, best = forward_sequential(
+            problem,
+            keep_stage_vectors=True,
+            start=start,
+            start_vector=self.vectors[start],
+        )
+        self.vectors[start + 1 :] = vectors[start + 1 :]
+        self.preds[start + 1 :] = preds[start + 1 :]
+        self.swept_cells = float(
+            sum(problem.stage_cost(i) for i in range(start + 1, n + 1))
+        )
         return best

@@ -31,10 +31,12 @@ def forward_sequential(
     problem: LTDPProblem,
     *,
     keep_stage_vectors: bool = False,
+    start: int = 0,
+    start_vector: np.ndarray | None = None,
 ) -> tuple[
     np.ndarray,
     list[np.ndarray | None],
-    list[np.ndarray] | None,
+    list[np.ndarray | None] | None,
     tuple[float, int, int] | None,
 ]:
     """Run the forward phase; return ``(s_n, pred, stage_vectors, best_objective)``.
@@ -45,16 +47,24 @@ def forward_sequential(
     For ``tracks_stage_objective`` problems ``best_objective`` is the
     running ``(value, stage, cell)`` reduction (earliest stage wins
     ties); otherwise ``None``.
+
+    With ``start`` the pass resumes from ``start_vector`` (the exact
+    ``s_start``; the initial vector when omitted at ``start = 0``) and
+    covers only stages ``start + 1 .. n``: earlier ``pred`` and
+    ``stage_vectors`` entries are ``None``, and ``best_objective``
+    reduces over stages ``start .. n`` only.
     """
     n = problem.num_stages
-    s = problem.initial_vector()
+    s = problem.initial_vector() if start_vector is None else start_vector
     pred: list[np.ndarray | None] = [None] * (n + 1)
-    vectors: list[np.ndarray] | None = [s.copy()] if keep_stage_vectors else None
+    vectors: list[np.ndarray | None] | None = None
+    if keep_stage_vectors:
+        vectors = [None] * start + [s.copy()]
     best: tuple[float, int, int] | None = None
     if problem.tracks_stage_objective:
-        val, cell = problem.stage_objective(0, s)
-        best = (val, 0, cell)
-    for i in range(1, n + 1):
+        val, cell = problem.stage_objective(start, s)
+        best = (val, start, cell)
+    for i in range(start + 1, n + 1):
         s, p = problem.apply_stage_with_pred(i, s)
         if is_zero_vector(s):
             raise ZeroVectorError(

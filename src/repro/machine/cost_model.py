@@ -26,15 +26,7 @@ from typing import Callable
 
 from repro.machine.metrics import RunMetrics
 
-__all__ = [
-    "POOL_ROUND_TRIP_SECONDS",
-    "CostModel",
-    "ProcChoice",
-    "calibrate_cell_cost",
-    "choose_num_procs",
-    "min_pool_supersteps",
-    "predict_pool_seconds",
-]
+__all__ = ["CostModel", "ProcChoice", "calibrate_cell_cost", "choose_num_procs"]
 
 #: Measured wall-clock of one no-op superstep on the persistent worker
 #: pool: dispatch, worker wake-up and reply (median of 79 rounds, 2
@@ -142,27 +134,15 @@ def calibrate_cell_cost(
     return elapsed / (calls * cells_per_call)
 
 
-def min_pool_supersteps(tracks_stage_objective: bool) -> int:
-    """Fewest supersteps a ``P > 1`` solve takes on the pool.
+def _min_pool_supersteps(problem) -> int:
+    """Fewest supersteps a ``P > 1`` solve of ``problem`` takes on the pool.
 
     The forward pass and at least one fix-up round, the backward pass
     and at least one backward fix-up round; stage-objective problems add
-    the objective reduction.  A lower bound, so the prediction below is
+    the objective reduction.  A lower bound, so the prediction is
     optimistic for the parallel side.
     """
-    return 5 if tracks_stage_objective else 4
-
-
-def predict_pool_seconds(
-    seq_seconds: float,
-    num_procs: int,
-    *,
-    workers: int,
-    supersteps: int,
-    round_trip: float = POOL_ROUND_TRIP_SECONDS,
-) -> float:
-    """``T_seq / min(P, workers) + supersteps · round_trip``."""
-    return seq_seconds / min(num_procs, max(workers, 1)) + supersteps * round_trip
+    return 5 if problem.tracks_stage_objective else 4
 
 
 @dataclass(frozen=True)
@@ -183,26 +163,28 @@ class ProcChoice:
 def choose_num_procs(
     seq_seconds: float,
     ceiling: int,
+    problem,
+    executor,
     *,
-    workers: int,
-    supersteps: int,
     round_trip: float = POOL_ROUND_TRIP_SECONDS,
 ) -> ProcChoice:
-    """Pick ``P`` in ``1 .. ceiling`` for a solve whose sequential time is
-    ``seq_seconds``.
+    """Pick ``P`` in ``1 .. min(ceiling, num_stages)`` for ``problem``,
+    whose sequential solve takes ``seq_seconds``, on ``executor``.
 
-    Each ``P >= 2`` is predicted by :func:`predict_pool_seconds`; the
+    Each ``P >= 2`` is predicted as ``T_seq / min(P, workers) +
+    supersteps · round_trip``, where ``workers`` is the executor's
+    ``max_workers`` (1 for executors that run supersteps in-process) and
+    ``supersteps`` the fewest a pooled solve of ``problem`` takes.  The
     fastest wins (the smallest ``P`` on ties, since processors past the
     worker count add fix-up work the model does not charge).  ``P = 1``
     is kept whenever no prediction beats the sequential time: parallel
     DP must not cost more than the sequential algorithm it replaces.
     """
+    workers = getattr(executor, "max_workers", 1)
+    supersteps = _min_pool_supersteps(problem)
     best_p, best_t = 0, float("inf")
-    for p in range(2, ceiling + 1):
-        t = predict_pool_seconds(
-            seq_seconds, p, workers=workers, supersteps=supersteps,
-            round_trip=round_trip,
-        )
+    for p in range(2, min(ceiling, problem.num_stages) + 1):
+        t = seq_seconds / min(p, workers) + supersteps * round_trip
         if t < best_t:
             best_p, best_t = p, t
     chosen = best_p if best_t < seq_seconds else 1

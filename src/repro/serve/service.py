@@ -18,10 +18,12 @@ near-duplicate is a hit repaired by one sweep of the suffix from its
 first dirty stage.  Classes the model sends to ``P > 1`` are served by a
 :class:`~repro.serve.session.ResidentSession` on one persistent
 :class:`~repro.machine.pool.PoolProcessExecutor`, near-duplicates by
-§4.7 delta repair of the resident solve.  Everything is counted per
-request class (hits, misses, rejections, delta cells, sequential vs
-parallel choices, latency) and every answer is bit-identical to a fresh
-sequential solve.
+§4.7 delta repair of the resident solve.  The model's prediction is
+only a trial: a class's first pooled solve is timed, and a class whose
+pooled solve does not beat its sequential time returns in-process for
+good.  Everything is counted per request class (hits, misses,
+rejections, delta cells, sequential vs parallel choices, latency) and
+every answer is bit-identical to a fresh sequential solve.
 
 Shutdown is a graceful drain: ``close()`` stops admissions, lets the
 batcher finish the queue, tears down the resident sessions and (when
@@ -38,13 +40,13 @@ import itertools
 import threading
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.exceptions import ExecutorError, ReproError
 from repro.kernels import get_backend, kernel_tier_enabled
 from repro.ltdp.engine.inprocess import SequentialAnswer
-from repro.ltdp.problem import LTDPProblem
-from repro.machine.cost_model import choose_num_procs, min_pool_supersteps
+from repro.ltdp.problem import LTDPProblem, LTDPSolution
+from repro.machine.cost_model import choose_num_procs
 from repro.machine.executor import executor_capability
 from repro.machine.trace import NULL_TRACER, Tracer
 
@@ -144,16 +146,28 @@ class _ClassEntry:
     calibrated ``cell_cost`` times ``total_cells()``, which every
     problem of one class shares.  ``answer`` is the in-process resident
     answer; ``session`` the pool session once the class runs at
-    ``P > 1``.
+    ``P > 1``.  ``pool_lost`` records a first pooled solve that did not
+    beat ``seq_seconds``: the class stays in-process from then on.
     """
 
     seq_seconds: float | None = None
     answer: SequentialAnswer | None = None
     session: ResidentSession | None = None
+    pool_lost: bool = False
 
     def finish(self) -> None:
         if self.session is not None:
             self.session.finish()
+
+
+def _client_copy(solution: LTDPSolution) -> LTDPSolution:
+    """A response's own copy of a resident in-process answer, so a client
+    mutating it cannot corrupt the answers later requests receive."""
+    return replace(
+        solution,
+        path=solution.path.copy(),
+        final_vector=solution.final_vector.copy(),
+    )
 
 
 @dataclass
@@ -180,7 +194,8 @@ class LTDPService:
         Ceiling on the virtual processors per solve.  Each class runs at
         the ``P`` the cost model picks under it: 1 (in-process) until
         its first solve has calibrated it, then 1 whenever the predicted
-        pooled time does not beat the measured sequential one.
+        pooled time does not beat the measured sequential one, or the
+        class's first pooled solve, timed, did not.
     max_queue:
         Admission-control bound: a ``submit`` finding this many requests
         already queued is rejected immediately with a reason.
@@ -377,14 +392,12 @@ class LTDPService:
         return entry
 
     def _procs_for(self, entry: _ClassEntry, problem: LTDPProblem) -> int:
-        """The P choice: 1 until the class is calibrated, then the model's."""
-        if entry.seq_seconds is None:
+        """The P choice: 1 until the class is calibrated or once its pool
+        trial lost, else the model's."""
+        if entry.seq_seconds is None or entry.pool_lost:
             return 1
         return choose_num_procs(
-            entry.seq_seconds,
-            min(self.num_procs, problem.num_stages),
-            workers=getattr(self.executor, "max_workers", 1),
-            supersteps=min_pool_supersteps(problem.tracks_stage_objective),
+            entry.seq_seconds, self.num_procs, problem, self.executor
         ).num_procs
 
     def _solve_in_process(self, entry: _ClassEntry, problem: LTDPProblem):
@@ -402,23 +415,29 @@ class LTDPService:
             entry.answer = answer
             if entry.seq_seconds is None:
                 entry.seq_seconds = answer.forward_seconds
-            return answer.solution, CACHE_MISS, 0
+            return _client_copy(answer.solution), CACHE_MISS, 0
         if not dirty:
-            return answer.solution, CACHE_HIT, 0
+            return _client_copy(answer.solution), CACHE_HIT, 0
         try:
             cells = answer.repair(problem, dirty)
         except ReproError:
             # A failed repair leaves the resident state half-swept.
             entry.answer = None
             raise
-        return answer.solution, CACHE_HIT, int(cells)
+        return _client_copy(answer.solution), CACHE_HIT, int(cells)
 
     def _solve_pooled(
         self, entry: _ClassEntry, problem: LTDPProblem, num_procs: int
     ):
-        """Answer at P > 1 on the class's resident pool session."""
+        """Answer at P > 1 on the class's resident pool session.
+
+        A calibrated class's first pooled solve (or its first after a
+        failed one) is its trial: it is timed, after the workers are up
+        so their one-time spawn is not charged to the class, against the
+        class's sequential time.  A class whose pooled solve does not
+        beat it returns in-process for good.
+        """
         if entry.session is None:
-            entry.answer = None  # the class is served on the pool from now on
             entry.session = ResidentSession(
                 self.executor,
                 problem,
@@ -428,7 +447,27 @@ class LTDPService:
                 tracer=self.tracer,
                 journal_cap=self.journal_cap,
             )
-        return entry.session.serve(problem)
+        trial = entry.seq_seconds is not None and not entry.session.solved
+        if trial:
+            self.executor.check_health()
+        t0 = time.perf_counter()
+        served = entry.session.serve(problem)
+        if trial:
+            seconds = time.perf_counter() - t0
+            entry.pool_lost = seconds >= entry.seq_seconds
+            self.tracer.event(
+                "serve.pool-trial",
+                num_procs=num_procs,
+                pool_seconds=seconds,
+                seq_seconds=entry.seq_seconds,
+                kept=not entry.pool_lost,
+            )
+            if entry.pool_lost:
+                entry.session.finish()
+                entry.session = None
+            else:
+                entry.answer = None  # the class is served on the pool now
+        return served
 
     def _serve_one(self, req: PendingRequest) -> None:
         t0 = time.perf_counter()

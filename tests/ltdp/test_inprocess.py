@@ -116,3 +116,18 @@ def test_suffix_repair_matches_fresh_solve(cls, use_kernels):
             problem.stage_cost(i) for i in range(pos + 1, problem.num_stages + 1)
         )
         _assert_same(answer.solution, solve_sequential(problem))
+
+
+@pytest.mark.parametrize("use_kernels", [False, True])
+def test_stage_objective_repair_resolves_the_whole_chain(use_kernels):
+    """A stage-objective optimum may lie before the first dirty stage, so
+    a repair of SW sweeps every stage again."""
+    rng = np.random.default_rng(33)
+    a, b = random_dna(6, rng), random_dna(50, rng)
+    answer = SequentialAnswer(SmithWatermanProblem(a, b), use_kernels=use_kernels)
+    b = np.array(b, copy=True)
+    b[40] = (b[40] + 1) % 4
+    problem = SmithWatermanProblem(a, b)
+    cells = answer.repair(problem, {41})
+    assert cells == problem.total_cells()
+    _assert_same(answer.solution, solve_sequential(problem))

@@ -1,5 +1,7 @@
 """Tests for the BSP cost model and kernel calibration."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,6 @@ from repro.machine.cost_model import (
     CostModel,
     calibrate_cell_cost,
     choose_num_procs,
-    min_pool_supersteps,
-    predict_pool_seconds,
 )
 from repro.machine.metrics import CommEvent, RunMetrics, SuperstepRecord
 
@@ -103,21 +103,29 @@ class TestCalibration:
         assert slow_cost > fast_cost
 
 
+def _problem(num_stages=1000, stage_objective=False):
+    return SimpleNamespace(
+        num_stages=num_stages, tracks_stage_objective=stage_objective
+    )
+
+
+def _pool(workers):
+    return SimpleNamespace(max_workers=workers)
+
+
 class TestProcChoice:
     """The per-request P choice: pooled time must beat the sequential one."""
 
     def test_serve_mix_sized_class_stays_sequential(self):
         # A 48-base LCS/NW request: about 0.4 ms of kernel-tier sweep.
-        choice = choose_num_procs(
-            4e-4, 2, workers=2, supersteps=min_pool_supersteps(False)
-        )
+        choice = choose_num_procs(4e-4, 2, _problem(48), _pool(2))
         assert choice.num_procs == 1
         assert choice.parallel_procs == 2
         assert choice.parallel_seconds > choice.seq_seconds
 
     def test_large_class_tiny_round_trip_gets_the_ceiling(self):
         choice = choose_num_procs(
-            10.0, 6, workers=8, supersteps=5, round_trip=1e-9
+            10.0, 6, _problem(stage_objective=True), _pool(8), round_trip=1e-9
         )
         assert choice.num_procs == 6
         assert choice.parallel_seconds == pytest.approx(10.0 / 6 + 5e-9)
@@ -127,21 +135,33 @@ class TestProcChoice:
     def test_ceiling_never_exceeded(self, ceiling, workers):
         for seq in (1e-6, 1e-3, 1.0, 1e3):
             choice = choose_num_procs(
-                seq, ceiling, workers=workers, supersteps=4, round_trip=1e-12
+                seq, ceiling, _problem(), _pool(workers), round_trip=1e-12
             )
             assert 1 <= choice.num_procs <= ceiling
+
+    def test_stage_count_caps_the_ceiling(self):
+        choice = choose_num_procs(1e3, 16, _problem(3), _pool(64))
+        assert choice.num_procs == 3
 
     def test_workers_cap_the_useful_p(self):
         # Past the worker count the model predicts no further gain, and
         # ties go to the smaller P.
-        choice = choose_num_procs(1.0, 8, workers=2, supersteps=4)
+        choice = choose_num_procs(1.0, 8, _problem(), _pool(2))
         assert choice.num_procs == 2
 
     def test_one_worker_never_parallel(self):
-        choice = choose_num_procs(1e3, 8, workers=1, supersteps=4)
-        assert choice.num_procs == 1
+        assert choose_num_procs(1e3, 8, _problem(), _pool(1)).num_procs == 1
+        # Executors without ``max_workers`` (serial, thread) count as one.
+        assert choose_num_procs(1e3, 8, _problem(), object()).num_procs == 1
 
     def test_prediction_formula(self):
-        t = predict_pool_seconds(1.0, 4, workers=2, supersteps=4)
-        assert t == pytest.approx(0.5 + 4 * POOL_ROUND_TRIP_SECONDS)
-        assert min_pool_supersteps(True) == min_pool_supersteps(False) + 1
+        choice = choose_num_procs(1.0, 4, _problem(), _pool(2))
+        assert choice.parallel_seconds == pytest.approx(
+            0.5 + 4 * POOL_ROUND_TRIP_SECONDS
+        )
+        with_objective = choose_num_procs(
+            1.0, 4, _problem(stage_objective=True), _pool(2)
+        )
+        assert with_objective.parallel_seconds == pytest.approx(
+            choice.parallel_seconds + POOL_ROUND_TRIP_SECONDS
+        )

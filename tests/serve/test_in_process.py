@@ -17,6 +17,7 @@ import pytest
 
 from repro.datagen.sequences import homologous_pair, random_dna
 from repro.ltdp.sequential import solve_sequential
+from repro.machine.cost_model import ProcChoice
 from repro.machine.pool import PoolProcessExecutor
 from repro.machine.trace import Tracer
 from repro.problems.alignment.lcs import LCSProblem
@@ -24,6 +25,7 @@ from repro.problems.alignment.needleman_wunsch import NeedlemanWunschProblem
 from repro.problems.alignment.smith_waterman import SmithWatermanProblem
 from repro.problems.convolutional import VOYAGER, ViterbiDecoderProblem
 from repro.serve import CACHE_HIT, CACHE_MISS, STATUS_OK, LTDPService
+import repro.serve.service
 from repro.serve.service import _ClassEntry
 
 SIZE = 40
@@ -159,7 +161,9 @@ def test_pinned_pool_path_is_counted_parallel(pool, pin_pool_path):
 class TestProcChoice:
     """The service's P choice on fixed class calibrations."""
 
-    def _choice(self, seq_seconds, *, num_procs, workers=2, stages=SIZE):
+    def _choice(
+        self, seq_seconds, *, num_procs, workers=2, stages=SIZE, pool_lost=False
+    ):
         rng = np.random.default_rng(26)
         problem = LCSProblem(
             *homologous_pair(stages, rng, divergence=0.1), width=WIDTH
@@ -167,7 +171,8 @@ class TestProcChoice:
         with PoolProcessExecutor(max_workers=workers) as executor:
             service = LTDPService(executor=executor, num_procs=num_procs)
             try:
-                return service._procs_for(_ClassEntry(seq_seconds), problem)
+                entry = _ClassEntry(seq_seconds, pool_lost=pool_lost)
+                return service._procs_for(entry, problem)
             finally:
                 service.close()
 
@@ -182,6 +187,9 @@ class TestProcChoice:
         assert self._choice(1.0, num_procs=4, workers=4) == 4
         assert self._choice(1.0, num_procs=4, workers=2) == 2
 
+    def test_class_that_lost_its_pool_trial_stays_in_process(self):
+        assert self._choice(1.0, num_procs=2, pool_lost=True) == 1
+
     def test_first_solve_runs_in_process_and_calibrates(self, pool):
         rng = np.random.default_rng(27)
         problem = LCSProblem(
@@ -192,3 +200,95 @@ class TestProcChoice:
             (entry,) = service._classes.values()
         assert response.num_procs == 1
         assert entry.seq_seconds is not None and entry.seq_seconds > 0
+
+
+def test_mutated_response_does_not_corrupt_resends(pool, pin_in_process):
+    """Each response owns its arrays: a client writing into one cannot
+    change what a later resend (or a repair of the resident answer)
+    returns."""
+    rng = np.random.default_rng(28)
+    base = LCSProblem(*homologous_pair(SIZE, rng, divergence=0.1), width=WIDTH)
+    near = _with_a(base, SIZE // 2)
+    with LTDPService(executor=pool, num_procs=2) as service:
+        first = service.submit(base).result(timeout=300.0)
+        first.solution.path[:] = -1
+        first.solution.final_vector[:] = 0
+        again = service.submit(base).result(timeout=300.0)
+        again.solution.final_vector[:] = 0
+        repaired = service.submit(near).result(timeout=300.0)
+    assert again.cache == CACHE_HIT and repaired.cache == CACHE_HIT
+    _assert_identical(base, again)
+    _assert_identical(near, repaired)
+    assert (
+        repaired.solution.final_vector.tobytes()
+        == solve_sequential(near).final_vector.tobytes()
+    )
+
+
+class TestPoolTrial:
+    """A class the model sends to the pool keeps ``P > 1`` only if its
+    first pooled solve, timed, beats the class's sequential time."""
+
+    def _serve(self, pool, calibrate, stream):
+        """Serve ``stream`` one request at a time; ``calibrate(entry)``
+        runs after the first (in-process) solve has calibrated the
+        class."""
+        tracer = Tracer()
+        with LTDPService(executor=pool, num_procs=2, tracer=tracer) as service:
+            answers = [service.submit(stream[0]).result(timeout=300.0)]
+            (entry,) = service._classes.values()
+            calibrate(entry)
+            for problem in stream[1:]:
+                answers.append(service.submit(problem).result(timeout=300.0))
+        for problem, response in zip(stream, answers):
+            assert response.status == STATUS_OK, response.reason
+            expected = solve_sequential(problem)
+            np.testing.assert_array_equal(response.solution.path, expected.path)
+            assert response.solution.score == expected.score
+        trials = [e.attrs for e in tracer.events if e.name == "serve.pool-trial"]
+        return answers, entry, trials
+
+    def _stream(self):
+        rng = np.random.default_rng(29)
+        base = LCSProblem(
+            *homologous_pair(SIZE, rng, divergence=0.1), width=WIDTH
+        )
+        return [base, _with_a(base, 3), _with_a(base, 7), _with_a(base, 9)]
+
+    def test_losing_trial_returns_the_class_in_process(self, pool, monkeypatch):
+        # The model always predicts the pool wins; the class's sequential
+        # time is set so low that no pooled solve can beat it.
+        monkeypatch.setattr(
+            repro.serve.service,
+            "choose_num_procs",
+            lambda seq, ceiling, problem, executor: ProcChoice(
+                ceiling, seq, ceiling, 0.0
+            ),
+        )
+
+        def calibrate(entry):
+            entry.seq_seconds = 1e-9
+
+        answers, entry, trials = self._serve(pool, calibrate, self._stream())
+        assert [r.num_procs for r in answers] == [1, 2, 1, 1]
+        assert [t["kept"] for t in trials] == [False]
+        assert entry.pool_lost and entry.session is None
+        # The resident in-process answer survived the trial, so the
+        # requests after it are repaired near-duplicates.
+        assert [r.cache for r in answers] == [
+            CACHE_MISS, CACHE_MISS, CACHE_HIT, CACHE_HIT
+        ]
+
+    def test_winning_trial_keeps_the_class_on_the_pool(self, pool):
+        def calibrate(entry):
+            entry.seq_seconds = 1e3
+
+        answers, entry, trials = self._serve(pool, calibrate, self._stream())
+        assert [r.num_procs for r in answers] == [1, 2, 2, 2]
+        assert [t["kept"] for t in trials] == [True]
+        assert entry.session is not None and entry.answer is None
+        # After the trial the class's near-duplicates are §4.7 repairs.
+        assert [r.cache for r in answers] == [
+            CACHE_MISS, CACHE_MISS, CACHE_HIT, CACHE_HIT
+        ]
+        assert all(r.delta_cells > 0 for r in answers[2:])

@@ -1,10 +1,14 @@
 """LTDPService contract tests: admission, batching, caching, teardown.
 
+Tests that depend on the path a request takes pin the P choice (the
+``pin_pool_path`` / ``pin_in_process`` fixtures), so what they cover
+does not depend on how fast this host runs a class's first solve.
+
 The serving guarantees under test:
 
 - every ``ok`` answer is **bit-identical** to a fresh sequential solve,
-  whether it came from a fresh sweep (miss) or from §4.7 delta repair
-  of the resident canonical (hit);
+  whether it came from a fresh sweep (miss) or from delta repair of the
+  resident canonical (hit);
 - backpressure is synchronous and observable (bounded queue, rejected
   tickets resolve immediately with a reason, counted per class);
 - shutdown is a graceful drain with zero leaked workers, and a request
@@ -58,18 +62,21 @@ def _assert_identical(problem, response):
 
 
 class TestConcurrentClients:
-    """N client threads, mixed fresh/near-duplicate, one resident pool."""
+    """N client threads, mixed fresh/near-duplicate, on one service.
+
+    The stream runs once with every class pinned to the pool (resident
+    sessions, §4.7 delta repair on the workers) and once pinned
+    in-process (suffix repair of the resident answer), so neither path's
+    coverage depends on the cost model's host-speed-dependent choice.
+    """
 
     NUM_THREADS = 4
     DUPS_PER_THREAD = 5
 
-    def test_mixed_stream_bit_identical_with_delta_hits(self):
+    def _run_mixed_stream(self, service):
         rng = np.random.default_rng(11)
         base_a, base_b = homologous_pair(SIZE, rng, divergence=0.1)
         base = LCSProblem(base_a, base_b, width=WIDTH)
-        service = LTDPService(
-            max_workers=2, num_procs=2, max_queue=64, seed=0
-        )
         results = []  # (problem, response), appended under a lock
         lock = threading.Lock()
 
@@ -94,23 +101,23 @@ class TestConcurrentClients:
                 with lock:
                     results.append((problem, response))
 
-        with service:
-            seed_response = service.submit(base).result(timeout=300.0)
-            threads = [
-                threading.Thread(target=client, args=(tid,))
-                for tid in range(self.NUM_THREADS)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            pids = list(service.executor.worker_pids())
-        stats = service.stats()
+        seed_response = service.submit(base).result(timeout=300.0)
+        threads = [
+            threading.Thread(target=client, args=(tid,))
+            for tid in range(self.NUM_THREADS)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
 
         _assert_identical(base, seed_response)
         assert seed_response.cache == CACHE_MISS
         for problem, response in results:
             _assert_identical(problem, response)
+        return results
+
+    def _assert_stream_stats(self, stats, results):
         # Queue was sized for the whole stream: zero rejections.
         total = stats["total"]
         assert total["rejected"] == 0
@@ -118,14 +125,37 @@ class TestConcurrentClients:
         assert total["ok"] == 1 + len(results)
         # 20 near-duplicates vs 4 fresh: at least one near-duplicate is
         # served right after a base-family solve in every interleaving,
-        # and those hits do §4.7 delta-repair work.
+        # and those hits do repair work.
         assert total["hits"] > 0
         assert total["delta_cells"] > 0
         hits = [r for _, r in results if r.cache == CACHE_HIT]
         assert sum(r.delta_cells for r in hits) > 0
+
+    def test_mixed_stream_bit_identical_with_delta_hits(self, pin_pool_path):
+        service = LTDPService(
+            max_workers=2, num_procs=2, max_queue=64, seed=0
+        )
+        with service:
+            results = self._run_mixed_stream(service)
+            pids = list(service.executor.worker_pids())
+        stats = service.stats()
+        self._assert_stream_stats(stats, results)
+        # Every request ran on the pool, so the hits were §4.7 repairs.
+        assert stats["total"]["parallel"] == 1 + len(results)
         # Graceful drain: the pool's workers are gone.
         assert service.executor.closed
         assert not any(_pid_alive(pid) for pid in pids)
+
+    def test_mixed_stream_bit_identical_in_process(self, pin_in_process):
+        service = LTDPService(
+            max_workers=2, num_procs=2, max_queue=64, seed=0
+        )
+        with service:
+            results = self._run_mixed_stream(service)
+        stats = service.stats()
+        self._assert_stream_stats(stats, results)
+        assert stats["total"]["sequential"] == 1 + len(results)
+        assert all(r.num_procs == 1 for _, r in results)
 
     def test_exact_duplicate_is_the_cheapest_hit(self, pin_pool_path):
         # Pinned to the pool: left to the model, a class whose measured
@@ -148,7 +178,9 @@ class TestConcurrentClients:
 
 
 class TestBackpressure:
-    def test_queue_full_rejects_synchronously_then_drain_serves_rest(self):
+    def test_queue_full_rejects_synchronously_then_drain_serves_rest(
+        self, pin_pool_path
+    ):
         rng = np.random.default_rng(5)
         problems = [
             LCSProblem(
@@ -196,7 +228,7 @@ class TestBackpressure:
 
 
 class TestTeardown:
-    def test_close_rejects_new_submissions_and_reaps_workers(self):
+    def test_close_rejects_new_submissions_and_reaps_workers(self, pin_pool_path):
         rng = np.random.default_rng(7)
         problem = LCSProblem(
             *homologous_pair(SIZE, rng, divergence=0.1), width=WIDTH
@@ -246,7 +278,7 @@ class TestTeardown:
         assert stats["total"]["errors"] == 1
         assert stats["total"]["ok"] == 1
 
-    def test_external_executor_is_not_closed_by_the_service(self):
+    def test_external_executor_is_not_closed_by_the_service(self, pin_pool_path):
         rng = np.random.default_rng(9)
         problem = LCSProblem(
             *homologous_pair(SIZE, rng, divergence=0.1), width=WIDTH
