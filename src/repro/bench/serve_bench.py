@@ -3,22 +3,23 @@
 The serve-suite matrix runner behind ``benchmarks/bench_serve.py`` (a
 thin path-bootstrap shim) and ``repro bench record --suite serve``.  It
 pushes seeded mixed request streams (fresh + near-duplicate, LCS and NW
-families) through one :class:`~repro.serve.service.LTDPService` on one
-resident worker pool, and emits a schema-versioned ``BENCH_serve.json``::
+families) through one :class:`~repro.serve.service.LTDPService` with
+its own worker pool, and emits a schema-versioned ``BENCH_serve.json``::
 
     PYTHONPATH=src python benchmarks/bench_serve.py --smoke
     PYTHONPATH=src python benchmarks/bench_serve.py                # full grid
     PYTHONPATH=src python benchmarks/bench_serve.py --check BENCH_serve.json
 
 Each grid row records request throughput (submission to last response,
-verification excluded), cache hit rate, §4.7 changed-delta volume and
-per-request latency.  The ``checks`` section gates on the serving
+verification excluded), cache hit rate, repair cells (``delta_cells``)
+and per-request latency.  The ``checks`` section gates on the serving
 contract rather than on speed:
 
 - ``bit_identity`` — every ``ok`` answer equals a fresh sequential
   solve (path and score), hit or miss;
-- ``cache_delta_path`` — near-duplicates are answered by delta repair
-  (hits observed, ``delta_cells > 0``);
+- ``cache_delta_path`` — near-duplicates are answered by in-process
+  suffix repair of the class's resident answer (hits observed,
+  ``delta_cells > 0``);
 - ``admission_control`` — an over-capacity burst is rejected
   synchronously with a backpressure reason, never dropped silently;
 - ``clean_teardown`` — the drain leaves a closed executor, an empty

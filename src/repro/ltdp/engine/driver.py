@@ -54,7 +54,6 @@ from repro.semiring.tropical import NEG_INF
 __all__ = [
     "ParallelOptions",
     "solve_parallel",
-    "run_solve_phases",
     "edge_weight_by_probe",
 ]
 
@@ -237,35 +236,18 @@ def _make_runtime(
     )
 
 
-def run_solve_phases(
+def _run_phases(
     problem: LTDPProblem,
     options: ParallelOptions,
     ranges,
     runtime: SuperstepRuntime,
     metrics: RunMetrics,
-    *,
-    forward_fn=None,
 ) -> LTDPSolution:
-    """Run forward → objective → backward → score on a caller-owned runtime.
-
-    The phase pipeline of :func:`solve_parallel`, split out so the serve
-    layer can drive it repeatedly against one resident
-    :class:`~repro.ltdp.engine.poolrt.PoolRuntime` (amortizing runtime
-    construction and worker-state shipping across requests).  The caller
-    owns the runtime's lifecycle — no ``finish()`` here — and, for pool
-    executors, the folding of recovery-counter deltas into ``metrics``.
-
-    ``forward_fn`` overrides the forward phase (the serve layer
-    substitutes :func:`~repro.ltdp.engine.forward.repair_forward_phase`
-    on cache hits); it must return the ``finals`` map that
-    :func:`~repro.ltdp.engine.forward.forward_phase` would.
-    """
+    """Forward → objective → backward → score on :func:`solve_parallel`'s
+    runtime (which owns its ``finish()`` and the recovery counters)."""
     tracer = options.tracer or NULL_TRACER
     with tracer.span("phase", phase="forward"):
-        if forward_fn is None:
-            finals = forward_phase(problem, ranges, options, runtime, metrics)
-        else:
-            finals = forward_fn()
+        finals = forward_phase(problem, ranges, options, runtime, metrics)
 
     obj_stage: int | None = None
     obj_cell: int | None = None
@@ -396,7 +378,7 @@ def solve_parallel(
         delivery=options.delivery,
     )
     try:
-        solution = run_solve_phases(problem, options, ranges, runtime, metrics)
+        solution = _run_phases(problem, options, ranges, runtime, metrics)
     finally:
         runtime.finish()
         if recovery is not None and recovery_base is not None:

@@ -27,26 +27,15 @@ path segment **inside the worker**
   the resident arrays out at the end, off the hot path.
 
 Sessions: each runtime owns a **session key** and all of its worker-side
-state lives under ``ns["sessions"][key]``, so several runtimes — the
-serve layer keeps one resident runtime per cached problem family while
-ad-hoc solves come and go — can share one pool without trampling each
-other's resident state.  ``finish()`` drops the session from the
-workers; a *resident* runtime (serve) simply doesn't call it between
-requests.
-
-Rebinding: :meth:`PoolRuntime.rebind_problem` swaps the worker-side
-problem **without** discarding resident state — the serve layer's
-cache-hit path, where a near-duplicate request repairs the canonical
-solve in place (:class:`~repro.ltdp.engine.specs.DeltaRepairSpec`).
-Rebinds are journalled with a sequence watermark so crash recovery can
-interleave them correctly into the replay.
+state lives under ``ns["sessions"][key]``, so runtimes sharing one pool
+cannot trample each other's resident state.  ``finish()`` drops the
+session from the workers.
 
 Crash recovery is "re-run a program suffix": the shared
 :class:`~repro.ltdp.engine.program.InstructionProgram` *is* the replay
-journal — rebuilding a respawned worker replays the recorded
-instructions of the slots it owns, merged across slots in program-seq
-order (a worker owning several slots must see each rebind exactly where
-the original execution did).
+journal — rebuilding a respawned worker re-installs the problem and
+replays the recorded instructions of the slots it owns, merged across
+slots in program-seq order.
 
 The functions prefixed ``_w_`` execute *inside* workers against the
 worker's persistent namespace; they are module-level so they pickle by
@@ -89,23 +78,6 @@ def _w_reset(ns, key: str, problem_blob: bytes, slots: list[int]) -> None:
         "problem": problem,
         "states": {slot: WorkerStore(problem) for slot in slots},
     }
-    _warm_kernel_plans(problem)
-
-
-def _w_set_problem(ns, key: str, problem_blob: bytes) -> None:
-    """Rebind the session's problem, keeping resident state (cache-hit path).
-
-    The stage-0 vector is recomputed lazily from the new problem; every
-    other resident vector stays — that's the point: a
-    :class:`~repro.ltdp.engine.specs.DeltaRepairSpec` sweep repairs the
-    stale stages against the rebound problem.
-    """
-    problem = pickle.loads(problem_blob)
-    sess = ns["sessions"][key]
-    sess["problem"] = problem
-    for store in sess["states"].values():
-        store.problem = problem
-        store.s.pop(0, None)
     _warm_kernel_plans(problem)
 
 
@@ -197,7 +169,6 @@ class PoolRuntime(SuperstepRuntime):
         tracer: Tracer | None = None,
         runners: int = 1,
         delivery: DeliveryPolicy | None = None,
-        session_key: str | None = None,
     ) -> None:
         self.pool = pool
         self.problem = problem
@@ -205,11 +176,7 @@ class PoolRuntime(SuperstepRuntime):
         self.forward_ranges = list(ranges)
         self.tracer = tracer or NULL_TRACER
         self.program = InstructionProgram()
-        self.session_key = (
-            session_key
-            if session_key is not None
-            else f"solve-{next(self._key_counter)}"
-        )
+        self.session_key = f"solve-{next(self._key_counter)}"
         self._finished = False
         # The pool emits per-worker dispatch spans and recovery events
         # into the same tracer; cleared again in finish() so later
@@ -217,15 +184,11 @@ class PoolRuntime(SuperstepRuntime):
         # tracer keeps the pool on its untraced send path.
         if hasattr(pool, "set_tracer"):
             pool.set_tracer(self.tracer)
-        blob = self._pickle_problem(problem)
+        self._problem_blob = blob = self._pickle_problem(problem)
         # Every worker learns every slot id; a slot's state only ever
         # fills on its owning worker, the rest stay empty placeholders.
         slots = [rg.proc for rg in self.forward_ranges]
         self._slots = slots
-        # Problem history for crash replay: ``(seq_watermark, blob)`` —
-        # instructions with seq > watermark executed under that blob's
-        # problem.  Entry 0 is the construction-time problem.
-        self._problem_history: list[tuple[int, bytes]] = [(0, blob)]
         if hasattr(self.pool, "add_rebuild_hook"):
             self.pool.add_rebuild_hook(self, self._rebuild_worker)
         elif hasattr(self.pool, "set_rebuild_hook"):
@@ -257,28 +220,6 @@ class PoolRuntime(SuperstepRuntime):
     def step_no(self) -> int:
         return self.program.step_no
 
-    @property
-    def journal_len(self) -> int:
-        """Instructions journalled so far (the serve layer's rebase bound:
-        a resident session whose replay program grows past its cap is
-        cheaper to rebuild from scratch than to keep replaying)."""
-        return len(self.program)
-
-    def rebind_problem(self, problem: LTDPProblem) -> None:
-        """Swap the worker-side problem, keeping all resident state.
-
-        The serve layer's cache-hit path: after rebinding, a
-        :func:`~repro.ltdp.engine.forward.repair_forward_phase` sweep
-        repairs the resident solve against the new problem.  The rebind
-        is journalled with the current program length as its sequence
-        watermark so a crash replay re-applies it between exactly the
-        same instructions as the original execution.
-        """
-        blob = self._pickle_problem(problem)
-        self.pool.broadcast(_w_set_problem, (self.session_key, blob))
-        self.problem = problem
-        self._problem_history.append((len(self.program), blob))
-
     def _rebuild_worker(self, w: int) -> tuple[list, int]:
         """Recovery program for respawned worker ``w`` (pool rebuild hook).
 
@@ -286,14 +227,10 @@ class PoolRuntime(SuperstepRuntime):
         the session and re-run the **recorded** instruction suffix of
         every slot worker ``w`` owns (the paper's Fig 4 restartability:
         any processor can be re-run from its predecessor's boundary
-        vector), plus the replayed-instruction count.  The slots'
-        histories are merged in program-seq order with the journalled
-        problem rebinds interleaved at their watermarks — a worker
-        owning several slots must replay each instruction under the
-        same problem the original execution saw.  Compiled-but-
-        unrecorded instructions are excluded: the in-flight request
-        re-sends after recovery and must not have replayed ahead of
-        itself.
+        vector), in program-seq order, plus the replayed-instruction
+        count.  Compiled-but-unrecorded instructions are excluded: the
+        in-flight request re-sends after recovery and must not have
+        replayed ahead of itself.
         """
         instrs: list[Instruction] = []
         for slot in self._slots:
@@ -304,24 +241,14 @@ class PoolRuntime(SuperstepRuntime):
                     instrs.append(instr)
         instrs.sort(key=lambda ins: ins.seq)
         key = self.session_key
-        calls: list[tuple] = [
-            (_w_reset, (key, self._problem_history[0][1], self._slots))
-        ]
-        rebinds = self._problem_history[1:]
-        ri = 0
+        calls: list[tuple] = [(_w_reset, (key, self._problem_blob, self._slots))]
         replayed = 0
         for instr in instrs:
-            while ri < len(rebinds) and rebinds[ri][0] < instr.seq:
-                calls.append((_w_set_problem, (key, rebinds[ri][1])))
-                ri += 1
             if instr.op == "spec":
                 calls.append((_w_run_instr, (key, instr.seq, instr.spec)))
                 replayed += 1
             else:  # pred-install: redistributed predecessor vectors
                 calls.append((_w_install_pred, (key, instr.slot, instr.payload)))
-        while ri < len(rebinds):
-            calls.append((_w_set_problem, (key, rebinds[ri][1])))
-            ri += 1
         return calls, replayed
 
     def _execute_instr(self, instr: Instruction) -> SpecResult:
@@ -452,8 +379,7 @@ class PoolRuntime(SuperstepRuntime):
     def finish(self) -> None:
         # The program journal belongs to this runtime; a stale hook
         # would replay the wrong state into a worker respawned during a
-        # later solve.  Idempotent: the serve layer finishes sessions
-        # both on eviction and on service close.
+        # later solve.  Idempotent.
         if self._finished:
             return
         self._finished = True

@@ -32,7 +32,7 @@ from typing import Protocol
 import numpy as np
 
 from repro.exceptions import ZeroVectorError
-from repro.ltdp.delta import BoundaryDiff, changed_delta_count, delta_fixup_work
+from repro.ltdp.delta import BoundaryDiff, delta_fixup_work
 from repro.ltdp.problem import LTDPProblem
 from repro.semiring.vector import are_parallel, is_zero_vector, random_nonzero_vector
 
@@ -42,7 +42,6 @@ __all__ = [
     "SuperstepSpec",
     "ForwardInitSpec",
     "ForwardFixupSpec",
-    "DeltaRepairSpec",
     "ObjectiveSpec",
     "BackwardInitSpec",
     "BackwardFixupSpec",
@@ -109,11 +108,6 @@ class SpecResult:
     #: consumed, stored resident so the next round's
     #: :class:`~repro.ltdp.delta.BoundaryDiff` can apply against it.
     fixup_input: tuple[int, np.ndarray] | None = None
-    #: Delta-space cells this sweep actually changed relative to the
-    #: resident stage vectors (§4.7 accounting; reported by
-    #: :class:`DeltaRepairSpec` so a serve-layer cache hit can prove it
-    #: repaired rather than recomputed).  Scalar — crosses the pool wire.
-    repaired_deltas: int = 0
 
     def stripped(self) -> "SpecResult":
         """Copy with the stage-resident payloads removed (pool wire format)."""
@@ -269,19 +263,9 @@ class ForwardFixupSpec(SuperstepSpec):
     #: computes, so it needs none of the resident state.
     use_kernels: bool = False
 
-    #: Phase name in zero-vector errors.
-    _what = "fix-up"
-    #: Report ``repaired_deltas`` (repair specs only: the per-stage
-    #: count costs a delta encode of both vectors).
-    _counts_repairs = False
-
     def is_converged(self, new: np.ndarray, stored: np.ndarray) -> bool:
         """The fix-up convergence predicate (§4.2 rank convergence)."""
         return are_parallel(new, stored, tol=self.tol)
-
-    def _dirty(self) -> frozenset[int]:
-        """Stages whose transform changed under the resident state."""
-        return frozenset()
 
     def execute(self, problem: LTDPProblem, store: StageStore) -> SpecResult:
         if self.boundary_diff is not None:
@@ -304,20 +288,15 @@ class ForwardFixupSpec(SuperstepSpec):
         """Per-stage sweep: sparse §4.7 repair where the resident state
         allows it, dense otherwise."""
         in_boundary = v
-        dirty = self._dirty()
-        # Stage indices, not tropical values: with nothing dirty the
-        # convergence exit may fire from the first stage.
-        last_dirty = max(dirty, default=self.lo)
         new_s: dict[int, np.ndarray] = {}
         new_pred: dict[int, np.ndarray] = {}
         new_states: dict[int, object] = {}
         work = 0.0
         stages_done = 0
         converged = False
-        repaired = 0
         for i in self.stages():
             sparse_cells: float | None = None
-            if self.sparse and i not in dirty:
+            if self.sparse:
                 res = problem.apply_stage_sparse(
                     i, v, store.get_fixup_state(i), self.crossover
                 )
@@ -326,16 +305,15 @@ class ForwardFixupSpec(SuperstepSpec):
                     new_states[i] = st
             if sparse_cells is None:
                 if self.sparse:
-                    # Dirty stage, no cache yet, or past crossover: dense
-                    # recompute with state capture so the next round can
-                    # go sparse against the current transform.
+                    # No cache yet, or past crossover: dense recompute
+                    # with state capture so the next round can go sparse.
                     v, p, st = problem.apply_stage_with_state(i, v)
                     new_states[i] = st
                 else:
                     v, p = problem.apply_stage_with_pred(i, v)
             if is_zero_vector(v):
                 raise ZeroVectorError(
-                    f"stage {i} produced an all--inf vector in {self._what}"
+                    f"stage {i} produced an all--inf vector in fix-up"
                 )
             new_pred[i] = p
             old = store.get_s(i)
@@ -346,15 +324,13 @@ class ForwardFixupSpec(SuperstepSpec):
             else:
                 work += problem.stage_cost(i)
             stages_done += 1
-            if self._counts_repairs and old.shape == v.shape:
-                repaired += changed_delta_count(old, v)
-            if i > last_dirty and self.is_converged(v, old):
+            if self.is_converged(v, old):
                 converged = True
                 break
             new_s[i] = v
         return self._result(
             store, in_boundary, new_s, new_pred, new_states,
-            work, stages_done, converged, repaired,
+            work, stages_done, converged,
         )
 
     def _execute_block(self, problem, store, v) -> SpecResult | None:
@@ -366,18 +342,16 @@ class ForwardFixupSpec(SuperstepSpec):
         sweep = block_sweep(problem, self.lo, self.hi, v, capture_state=self.sparse)
         if sweep is None:
             return None
-        last_dirty = max(self._dirty(), default=self.lo)
         new_s: dict[int, np.ndarray] = {}
         new_pred: dict[int, np.ndarray] = {}
         new_states: dict[int, object] = {}
         work = 0.0
         stages_done = 0
         converged = False
-        repaired = 0
         for r, i in enumerate(self.stages()):
             if r == sweep.zero_index:
                 raise ZeroVectorError(
-                    f"stage {i} produced an all--inf vector in {self._what}"
+                    f"stage {i} produced an all--inf vector in fix-up"
                 )
             nv = sweep.values[r]
             new_pred[i] = sweep.preds[r]
@@ -391,20 +365,18 @@ class ForwardFixupSpec(SuperstepSpec):
                 # dense even in sparse mode.
                 work += float(sweep.costs[r])
             stages_done += 1
-            if self._counts_repairs:
-                repaired += changed_delta_count(old, nv)
-            if i > last_dirty and self.is_converged(nv, old):
+            if self.is_converged(nv, old):
                 converged = True
                 break
             new_s[i] = nv
         return self._result(
             store, v, new_s, new_pred, new_states,
-            work, stages_done, converged, repaired,
+            work, stages_done, converged,
         )
 
     def _result(
         self, store, in_boundary, new_s, new_pred, new_states,
-        work, stages_done, converged, repaired,
+        work, stages_done, converged,
     ) -> SpecResult:
         # On early convergence the stored suffix (including the range
         # final) is untouched, so the advertised boundary is the stored
@@ -420,46 +392,7 @@ class ForwardFixupSpec(SuperstepSpec):
             boundary=boundary,
             fixup_state_updates=new_states,
             fixup_input=(self.lo, in_boundary) if self.use_delta else None,
-            repaired_deltas=repaired,
         )
-
-
-@dataclass(frozen=True)
-class DeltaRepairSpec(ForwardFixupSpec):
-    """Repair a *resident* solve against a mutated problem (serve cache hit).
-
-    The serve layer keeps a canonical solve resident in the workers and
-    answers a near-duplicate request — same family and shape, a few
-    mutated stages — by rebinding the worker-side problem and sweeping
-    each dirtied range once with this spec.  It is a
-    :class:`ForwardFixupSpec` with three twists:
-
-    - ``dirty`` names the stages whose transform changed.  The block
-      sweep recomputes every stage densely and captures fresh §4.7
-      state anyway; on the per-stage fallback the dirty stages are
-      forced dense (their cached state describes the *old* transform
-      and must be refreshed) while clean stages keep the sparse path,
-      which costs ~nothing while the propagated boundary is unchanged.
-    - The rank-convergence early exit is suppressed until the sweep has
-      passed the last dirty stage: before it, "new vector parallel to
-      stored" only means the perturbation has not been *reached* yet,
-      not that it has died out.
-    - ``repaired_deltas`` in the result counts the delta-space cells the
-      sweep actually changed — the serve layer's proof that a cache hit
-      took the repair path.
-
-    Past the last dirty stage the transforms match the resident state
-    again, so the standard fix-up argument applies unchanged and the
-    downstream ranges are handled by the ordinary fix-up loop.
-    """
-
-    dirty: tuple[int, ...] = ()
-
-    _what = "delta repair"
-    _counts_repairs = True
-
-    def _dirty(self) -> frozenset[int]:
-        return frozenset(self.dirty)
 
 
 @dataclass(frozen=True)

@@ -144,9 +144,12 @@ class LTDPProblem(ABC):
     def dirty_stages_against(self, base: "LTDPProblem") -> "set[int] | None":
         """Stages whose transforms differ from ``base``'s, or ``None``.
 
-        The serving layer (:mod:`repro.serve`) uses this to answer a
-        near-duplicate request by *repairing* a resident solve of
-        ``base`` instead of solving from scratch: when this returns a
+        The serving layer (:mod:`repro.serve`) uses this for in-process
+        (``P = 1``) classes only: it answers a near-duplicate request by
+        re-sweeping the resident answer of ``base`` from the first dirty
+        stage (:meth:`SequentialAnswer.repair
+        <repro.ltdp.engine.inprocess.SequentialAnswer.repair>`) instead
+        of solving from scratch.  When this returns a
         set ``D``, the contract is that for every stage ``i ∉ D``
         (``1 ≤ i ≤ num_stages``) ``apply_stage``/``apply_stage_with_pred``
         of ``self`` and ``base`` are **bit-identical functions**, and the

@@ -1,10 +1,13 @@
-"""Request-serving front-end over the resident worker pool.
+"""Request-serving front-end: in-process, or over one worker pool.
 
-``repro serve`` / :class:`LTDPService`: accept streams of decode/align
-requests, batch same-shape problems onto one persistent
-:class:`~repro.machine.pool.PoolProcessExecutor`, answer near-duplicate
-requests by §4.7 sparse delta repair of a resident canonical solve, and
-keep every answer bit-identical to a fresh sequential solve.
+``repro serve`` / :class:`LTDPService` accepts streams of decode/align
+requests and batches same-shape problems.  Each request class is solved
+at the processor count the cost model picks.  At ``P = 1`` it is solved
+in-process, and an exact resend or a near-duplicate is answered from the
+class's resident answer by a suffix repair.  At ``P > 1`` every request
+is a plain ``solve_parallel`` on one persistent
+:class:`~repro.machine.pool.PoolProcessExecutor`.  Every answer is
+bit-identical to a fresh sequential solve.
 """
 
 from repro.serve.requests import (
@@ -20,7 +23,6 @@ from repro.serve.requests import (
 )
 from repro.serve.selftest import SelftestReport, build_request_stream, run_selftest
 from repro.serve.service import ClassStats, LTDPService
-from repro.serve.session import ResidentSession
 
 __all__ = [
     "CACHE_HIT",
@@ -31,7 +33,6 @@ __all__ = [
     "ClassStats",
     "LTDPService",
     "PendingRequest",
-    "ResidentSession",
     "SelftestReport",
     "ServeResponse",
     "build_request_stream",

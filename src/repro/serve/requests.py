@@ -3,9 +3,9 @@
 A request is just an :class:`~repro.ltdp.problem.LTDPProblem` instance;
 the service answers it with a :class:`ServeResponse` carrying the
 solution (bit-identical to a fresh sequential solve), the cache outcome
-(fresh solve vs §4.7 delta repair of the resident canonical) and
-latency/accounting scalars.  :func:`request_class` computes the
-family+shape key the service batches and caches by.
+(fresh solve vs an in-process class's resident answer, resent or
+suffix-repaired) and latency/accounting scalars.  :func:`request_class`
+computes the family+shape key the service batches and caches by.
 """
 
 from __future__ import annotations
@@ -30,21 +30,21 @@ __all__ = [
 #: Response statuses.
 STATUS_OK = "ok"
 STATUS_REJECTED = "rejected"  # admission control (queue full / closed)
-STATUS_ERROR = "error"  # the solve itself failed (e.g. executor closed)
+STATUS_ERROR = "error"  # the solve itself failed (e.g. executor closed or a worker kept dying)
 
 #: Cache outcomes of a served (``ok``) request.
-CACHE_HIT = "hit"  # answered from / by repair of the resident solve
-CACHE_MISS = "miss"  # fresh solve (new family, shape, or undiffable)
+CACHE_HIT = "hit"  # in-process: the resident answer, resent or suffix-repaired
+CACHE_MISS = "miss"  # fresh solve (new class, undiffable, or any pooled solve)
 
 
 def request_class(problem: LTDPProblem) -> tuple:
-    """Family + shape key: requests with equal keys share one resident
-    session (same partition, same worker-side state layout) and are
-    served together in one batch sweep.
+    """Family + shape key: requests with equal keys share one class
+    entry (calibration, P choice, resident in-process answer) and are
+    served together in one batch.
 
     Same key does **not** imply same answer — it implies the problems
     are *commensurable*: identical stage count and boundary widths, so
-    a repair sweep of one against a resident solve of another is
+    a suffix repair of one's resident answer against another is
     well-formed whenever :meth:`LTDPProblem.dirty_stages_against`
     additionally proves a bounded diff.
     """
@@ -76,12 +76,10 @@ class ServeResponse:
     to ``solve_sequential(problem)`` regardless of ``cache``.
     ``num_procs`` is the ``P`` the request was solved at: 1 in-process,
     more on the pool, 0 when no solve was attempted (rejected).
-    ``delta_cells`` is the repair work of a hit: in-process, the cells
-    of the suffix sweep from the first dirty stage (0 for an exact
-    resend); on the pool, the §4.7 changed-delta count of the serving
-    sweep (0 for hits whose perturbation died locally).  Misses report
-    0.  ``fixup_iterations`` is the forward fix-up rounds the solve
-    needed (0 in-process).
+    ``delta_cells`` is the repair work of a hit: the cells of the suffix
+    sweep from the first dirty stage (0 for an exact resend).  Misses,
+    pooled answers included, report 0.  ``fixup_iterations`` is the
+    forward fix-up rounds the solve needed (0 in-process).
     """
 
     request_id: int

@@ -15,19 +15,19 @@ calibrates the class's sequential time.  Classes whose predicted pooled
 time does not beat it stay in-process (``P = 1``, no pool round trip):
 the class's last answer stays resident, an exact resend is a hit, and a
 near-duplicate is a hit repaired by one sweep of the suffix from its
-first dirty stage.  Classes the model sends to ``P > 1`` are served by a
-:class:`~repro.serve.session.ResidentSession` on one persistent
-:class:`~repro.machine.pool.PoolProcessExecutor`, near-duplicates by
-§4.7 delta repair of the resident solve.  The model's prediction is
-only a trial: a class's first pooled solve is timed, and a class whose
-pooled solve does not beat its sequential time returns in-process for
-good.  Everything is counted per request class (hits, misses,
-rejections, delta cells, sequential vs parallel choices, latency) and
-every answer is bit-identical to a fresh sequential solve.
+first dirty stage.  Each request of a class the model sends to ``P > 1``
+is a plain :func:`~repro.ltdp.engine.driver.solve_parallel` on one
+persistent :class:`~repro.machine.pool.PoolProcessExecutor`, always a
+miss.  The model's prediction is only a trial: a class's first pooled
+solve is timed, and a class whose pooled solve does not beat its
+sequential time returns in-process for good.  Everything is counted per
+request class (hits, misses, rejections, delta cells, sequential vs
+parallel choices, latency) and every answer is bit-identical to a fresh
+sequential solve.
 
 Shutdown is a graceful drain: ``close()`` stops admissions, lets the
-batcher finish the queue, tears down the resident sessions and (when
-the service owns it) closes the pool.  The drain path leans on the
+batcher finish the queue, drops the resident answers and (when the
+service owns it) closes the pool.  The drain path leans on the
 executor close contract — ``run_superstep``/dispatch on a closed
 executor raises :class:`~repro.exceptions.ExecutorError`
 deterministically — so a request racing shutdown resolves as an
@@ -44,6 +44,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.exceptions import ExecutorError, ReproError
 from repro.kernels import get_backend, kernel_tier_enabled
+from repro.ltdp.engine.driver import ParallelOptions, solve_parallel
 from repro.ltdp.engine.inprocess import SequentialAnswer
 from repro.ltdp.problem import LTDPProblem, LTDPSolution
 from repro.machine.cost_model import choose_num_procs
@@ -61,7 +62,6 @@ from repro.serve.requests import (
     class_label,
     request_class,
 )
-from repro.serve.session import ResidentSession
 
 __all__ = ["ClassStats", "LTDPService"]
 
@@ -145,19 +145,15 @@ class _ClassEntry:
     first (in-process) solve: the forward sweep's seconds, i.e. the
     calibrated ``cell_cost`` times ``total_cells()``, which every
     problem of one class shares.  ``answer`` is the in-process resident
-    answer; ``session`` the pool session once the class runs at
-    ``P > 1``.  ``pool_lost`` records a first pooled solve that did not
-    beat ``seq_seconds``: the class stays in-process from then on.
+    answer.  ``pool_won`` / ``pool_lost`` record the outcome of the
+    class's first pooled solve (its trial) against ``seq_seconds``: a
+    class that won stays on the pool, one that lost stays in-process.
     """
 
     seq_seconds: float | None = None
     answer: SequentialAnswer | None = None
-    session: ResidentSession | None = None
+    pool_won: bool = False
     pool_lost: bool = False
-
-    def finish(self) -> None:
-        if self.session is not None:
-            self.session.finish()
 
 
 def _client_copy(solution: LTDPSolution) -> LTDPSolution:
@@ -201,19 +197,14 @@ class LTDPService:
         already queued is rejected immediately with a reason.
     max_sessions:
         Resident-class cap; least-recently-used classes are evicted
-        (their resident answer, calibration and worker-side state
+        (their resident answer, calibration and pool-trial outcome
         dropped) past it.
-    use_delta:
-        §4.7 delta mode for the pooled solves (required for sparse
-        cache repair; on by default).
     seed:
         Seed of the solves' random ``nz`` start vectors.
     tracer:
         Optional tracer; the service adds one ``serve.request`` span
         per served request and one ``serve.batch`` span per same-class
         group, on top of the engine's solve spans.
-    journal_cap:
-        Per-session replay-journal bound before the session rebases.
     """
 
     def __init__(
@@ -224,10 +215,8 @@ class LTDPService:
         num_procs: int = 4,
         max_queue: int = 64,
         max_sessions: int = 8,
-        use_delta: bool = True,
         seed: int | None = 0,
         tracer: Tracer | None = None,
-        journal_cap: int = 4096,
     ) -> None:
         if num_procs < 1:
             raise ValueError(f"num_procs must be >= 1, got {num_procs}")
@@ -249,10 +238,8 @@ class LTDPService:
         self.num_procs = num_procs
         self.max_queue = max_queue
         self.max_sessions = max_sessions
-        self.use_delta = use_delta
         self.seed = seed
         self.tracer = tracer or NULL_TRACER
-        self.journal_cap = journal_cap
         # Load the kernel backend now, not inside a class's first solve,
         # whose time calibrates the class's P choice.
         get_backend()
@@ -343,8 +330,6 @@ class LTDPService:
                 self._resolve_rejected(
                     req, "service closed before the request was served"
                 )
-        for entry in self._classes.values():
-            entry.finish()
         self._classes.clear()
         if self._own_executor:
             self.executor.close()
@@ -369,7 +354,7 @@ class LTDPService:
                 batch = list(self._state.queue)
                 self._state.queue.clear()
             # Group same-class requests so consecutive solves share one
-            # resident session (first arrival fixes group order).
+            # class entry (first arrival fixes group order).
             groups: "OrderedDict[tuple, list[PendingRequest]]" = OrderedDict()
             for req in batch:
                 groups.setdefault(req.key, []).append(req)
@@ -386,8 +371,7 @@ class LTDPService:
             self._classes.move_to_end(key)
             return entry
         while len(self._classes) >= self.max_sessions:
-            _, evicted = self._classes.popitem(last=False)
-            evicted.finish()
+            self._classes.popitem(last=False)
         entry = self._classes[key] = _ClassEntry()
         return entry
 
@@ -428,46 +412,42 @@ class LTDPService:
 
     def _solve_pooled(
         self, entry: _ClassEntry, problem: LTDPProblem, num_procs: int
-    ):
-        """Answer at P > 1 on the class's resident pool session.
+    ) -> LTDPSolution:
+        """Answer at P > 1: a plain ``solve_parallel`` on the shared pool.
 
-        A calibrated class's first pooled solve (or its first after a
-        failed one) is its trial: it is timed, after the workers are up
-        so their one-time spawn is not charged to the class, against the
-        class's sequential time.  A class whose pooled solve does not
-        beat it returns in-process for good.
+        A calibrated class's first successful pooled solve is its trial:
+        it is timed, after the workers are up so their one-time spawn is
+        not charged to the class, against the class's sequential time.
+        A class whose pooled solve does not beat it returns in-process
+        for good.
         """
-        if entry.session is None:
-            entry.session = ResidentSession(
-                self.executor,
-                problem,
-                num_procs=num_procs,
-                use_delta=self.use_delta,
-                seed=self.seed,
-                tracer=self.tracer,
-                journal_cap=self.journal_cap,
-            )
-        trial = entry.seq_seconds is not None and not entry.session.solved
+        trial = entry.seq_seconds is not None and not entry.pool_won
         if trial:
             self.executor.check_health()
         t0 = time.perf_counter()
-        served = entry.session.serve(problem)
+        solution = solve_parallel(
+            problem,
+            ParallelOptions(
+                num_procs=num_procs,
+                executor=self.executor,
+                seed=self.seed,
+                tracer=self.tracer,
+            ),
+        )
         if trial:
             seconds = time.perf_counter() - t0
             entry.pool_lost = seconds >= entry.seq_seconds
+            entry.pool_won = not entry.pool_lost
             self.tracer.event(
                 "serve.pool-trial",
                 num_procs=num_procs,
                 pool_seconds=seconds,
                 seq_seconds=entry.seq_seconds,
-                kept=not entry.pool_lost,
+                kept=entry.pool_won,
             )
-            if entry.pool_lost:
-                entry.session.finish()
-                entry.session = None
-            else:
+            if entry.pool_won:
                 entry.answer = None  # the class is served on the pool now
-        return served
+        return solution
 
     def _serve_one(self, req: PendingRequest) -> None:
         t0 = time.perf_counter()
@@ -482,12 +462,10 @@ class LTDPService:
                         entry, req.problem
                     )
                 else:
-                    solution, cache, metrics = self._solve_pooled(
-                        entry, req.problem, num_procs
-                    )
-                    num_procs = metrics.num_procs
-                    delta_cells = int(sum(metrics.fixup_changed_deltas))
-                    fixups = metrics.forward_fixup_iterations
+                    solution = self._solve_pooled(entry, req.problem, num_procs)
+                    cache, delta_cells = CACHE_MISS, 0
+                    num_procs = solution.metrics.num_procs
+                    fixups = solution.metrics.forward_fixup_iterations
             except ExecutorError as exc:
                 response = ServeResponse(
                     request_id=req.request_id,

@@ -1,12 +1,11 @@
-"""Block-kernel §4.7 fix-up and repair against the per-stage sparse path.
+"""Block-kernel §4.7 fix-up against the per-stage sparse path.
 
-In delta mode :class:`ForwardFixupSpec` and :class:`DeltaRepairSpec`
-sweep a whole range through the kernel tier, capturing fresh §4.7
-state, and fall back to the per-stage sparse kernel only when no block
-kernel accepts the range.  Both paths must leave the resident store in
-the same state to the byte: the same stage vectors, predecessors,
-advertised boundary, convergence verdict, repaired-delta count and
-captured state planes.  Each case runs the same spec on two copies of
+In delta mode :class:`ForwardFixupSpec` sweeps a whole range through
+the kernel tier, capturing fresh §4.7 state, and falls back to the
+per-stage sparse kernel only when no block kernel accepts the range.
+Both paths must leave the resident store in the same state to the
+byte: the same stage vectors, predecessors, advertised boundary,
+convergence verdict and captured state planes.  Each case runs the same spec on two copies of
 one worker store, once with the tier on (and ``apply_stage_sparse``
 patched to raise, proving the block path ran) and once with it off.
 """
@@ -17,12 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.ltdp.delta import encode_boundary_diff
-from repro.ltdp.engine.specs import (
-    DeltaRepairSpec,
-    ForwardFixupSpec,
-    ForwardInitSpec,
-)
+from repro.ltdp.engine.specs import ForwardFixupSpec, ForwardInitSpec
 from repro.ltdp.engine.store import WorkerStore
 from repro.problems.alignment.banded import BandedAlignmentProblem
 from repro.problems.alignment.lcs import LCSProblem
@@ -112,7 +106,6 @@ def _assert_same_state(a, b):
 def _assert_same_result(got, want):
     assert got.converged == want.converged
     assert got.stages_done == want.stages_done
-    assert got.repaired_deltas == want.repaired_deltas
     assert got.boundary.tobytes() == want.boundary.tobytes()
     for field in ("s_updates", "pred_updates"):
         g, w = getattr(got, field), getattr(want, field)
@@ -128,15 +121,8 @@ def _assert_same_result(got, want):
 
 
 def _run_both(problem, store, spec, monkeypatch):
-    """(block result, per-stage result, per-stage sparse hits)."""
+    """(block result, per-stage result)."""
     kernel_store, stage_store = store, copy.deepcopy(store)
-    hits = []
-    real = BandedAlignmentProblem.apply_stage_sparse
-
-    def counting(self, *args):
-        res = real(self, *args)
-        hits.append(res is not None)
-        return res
 
     def forbidden(self, *args):
         raise AssertionError("block path fell back to the per-stage sparse kernel")
@@ -144,14 +130,12 @@ def _run_both(problem, store, spec, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(BandedAlignmentProblem, "apply_stage_sparse", forbidden)
         got = spec.execute(problem, kernel_store)
-    with monkeypatch.context() as m:
-        m.setattr(BandedAlignmentProblem, "apply_stage_sparse", counting)
-        want = replace(spec, use_kernels=False).execute(problem, stage_store)
-    return got, want, sum(hits)
+    want = replace(spec, use_kernels=False).execute(problem, stage_store)
+    return got, want
 
 
-def _spec(cls, problem, boundary, **extra):
-    return cls(
+def _spec(problem, boundary):
+    return ForwardFixupSpec(
         proc=2,
         lo=LO,
         hi=HI,
@@ -160,43 +144,7 @@ def _spec(cls, problem, boundary, **extra):
         use_delta=True,
         sparse=True,
         use_kernels=True,
-        **extra,
     )
-
-
-@pytest.mark.parametrize("name", list(PROBLEMS))
-class TestDeltaRepairSpec:
-    def test_dirty_at_range_start(self, name, monkeypatch):
-        base = PROBLEMS[name]
-        store = _resident_store(base)
-        problem = _mutated(base, [LO + 1], seed=1)
-        spec = _spec(DeltaRepairSpec, problem, _prefix(problem, LO), dirty=(LO + 1,))
-        got, want, _ = _run_both(problem, store, spec, monkeypatch)
-        _assert_same_result(got, want)
-
-    def test_dirty_at_range_end_holds_convergence(self, name, monkeypatch):
-        """Every stage before ``hi`` is still parallel to the stored one:
-        convergence must not fire until the sweep has passed ``hi``."""
-        base = PROBLEMS[name]
-        store = _resident_store(base)
-        problem = _mutated(base, [HI], seed=2)
-        spec = _spec(DeltaRepairSpec, problem, _prefix(problem, LO), dirty=(HI,))
-        got, want, sparse_hits = _run_both(problem, store, spec, monkeypatch)
-        _assert_same_result(got, want)
-        assert got.stages_done == HI - LO
-        assert sparse_hits > 0  # the reference really took the sparse path
-
-    def test_empty_dirty_set_with_changed_boundary_diff(self, name, monkeypatch):
-        """A perturbation upstream of the range arrives as a boundary
-        diff against the resident input; nothing in the range is dirty."""
-        base = PROBLEMS[name]
-        store = _resident_store(base)
-        problem = _mutated(base, [LO - 3], seed=3)
-        new_in = _prefix(problem, LO)
-        diff = encode_boundary_diff(store.get_fixup_input(LO), new_in)
-        spec = _spec(DeltaRepairSpec, problem, None, boundary_diff=diff, dirty=())
-        got, want, _ = _run_both(problem, store, spec, monkeypatch)
-        _assert_same_result(got, want)
 
 
 @pytest.mark.parametrize("name", list(PROBLEMS))
@@ -205,7 +153,6 @@ def test_sparse_fixup_spec(name, upstream, monkeypatch):
     base = PROBLEMS[name]
     store = _resident_store(base)
     problem = _mutated(base, [upstream], seed=upstream)
-    spec = _spec(ForwardFixupSpec, problem, _prefix(problem, LO))
-    got, want, _ = _run_both(problem, store, spec, monkeypatch)
+    spec = _spec(problem, _prefix(problem, LO))
+    got, want = _run_both(problem, store, spec, monkeypatch)
     _assert_same_result(got, want)
-    assert got.repaired_deltas == 0  # counted for repair specs only

@@ -272,7 +272,7 @@ class TestPoolTrial:
         answers, entry, trials = self._serve(pool, calibrate, self._stream())
         assert [r.num_procs for r in answers] == [1, 2, 1, 1]
         assert [t["kept"] for t in trials] == [False]
-        assert entry.pool_lost and entry.session is None
+        assert entry.pool_lost and not entry.pool_won
         # The resident in-process answer survived the trial, so the
         # requests after it are repaired near-duplicates.
         assert [r.cache for r in answers] == [
@@ -286,9 +286,7 @@ class TestPoolTrial:
         answers, entry, trials = self._serve(pool, calibrate, self._stream())
         assert [r.num_procs for r in answers] == [1, 2, 2, 2]
         assert [t["kept"] for t in trials] == [True]
-        assert entry.session is not None and entry.answer is None
-        # After the trial the class's near-duplicates are §4.7 repairs.
-        assert [r.cache for r in answers] == [
-            CACHE_MISS, CACHE_MISS, CACHE_HIT, CACHE_HIT
-        ]
-        assert all(r.delta_cells > 0 for r in answers[2:])
+        assert entry.pool_won and entry.answer is None
+        # After the trial every request is a fresh pooled solve.
+        assert [r.cache for r in answers] == [CACHE_MISS] * 4
+        assert all(r.delta_cells == 0 for r in answers)

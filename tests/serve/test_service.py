@@ -7,8 +7,8 @@ does not depend on how fast this host runs a class's first solve.
 The serving guarantees under test:
 
 - every ``ok`` answer is **bit-identical** to a fresh sequential solve,
-  whether it came from a fresh sweep (miss) or from delta repair of the
-  resident canonical (hit);
+  whether it came from a fresh solve (miss, in-process or pooled) or
+  from the in-process resident answer, resent or suffix-repaired (hit);
 - backpressure is synchronous and observable (bounded queue, rejected
   tickets resolve immediately with a reason, counted per class);
 - shutdown is a graceful drain with zero leaked workers, and a request
@@ -64,8 +64,8 @@ def _assert_identical(problem, response):
 class TestConcurrentClients:
     """N client threads, mixed fresh/near-duplicate, on one service.
 
-    The stream runs once with every class pinned to the pool (resident
-    sessions, §4.7 delta repair on the workers) and once pinned
+    The stream runs once with every class pinned to the pool (a plain
+    ``solve_parallel`` per request, always a miss) and once pinned
     in-process (suffix repair of the resident answer), so neither path's
     coverage depends on the cost model's host-speed-dependent choice.
     """
@@ -123,15 +123,15 @@ class TestConcurrentClients:
         assert total["rejected"] == 0
         assert total["errors"] == 0
         assert total["ok"] == 1 + len(results)
-        # 20 near-duplicates vs 4 fresh: at least one near-duplicate is
-        # served right after a base-family solve in every interleaving,
-        # and those hits do repair work.
-        assert total["hits"] > 0
-        assert total["delta_cells"] > 0
-        hits = [r for _, r in results if r.cache == CACHE_HIT]
-        assert sum(r.delta_cells for r in hits) > 0
 
-    def test_mixed_stream_bit_identical_with_delta_hits(self, pin_pool_path):
+    @pytest.mark.parametrize("tier", ["auto", "off"])
+    def test_mixed_stream_bit_identical_on_the_pool(
+        self, tier, monkeypatch, pin_pool_path
+    ):
+        if tier == "off":
+            monkeypatch.setenv("REPRO_KERNELS", "off")
+        else:
+            monkeypatch.delenv("REPRO_KERNELS", raising=False)
         service = LTDPService(
             max_workers=2, num_procs=2, max_queue=64, seed=0
         )
@@ -140,8 +140,13 @@ class TestConcurrentClients:
             pids = list(service.executor.worker_pids())
         stats = service.stats()
         self._assert_stream_stats(stats, results)
-        # Every request ran on the pool, so the hits were §4.7 repairs.
+        # Every request is a fresh pooled solve.
         assert stats["total"]["parallel"] == 1 + len(results)
+        assert stats["total"]["hits"] == 0
+        assert all(
+            r.cache == CACHE_MISS and r.num_procs == 2 and r.delta_cells == 0
+            for _, r in results
+        )
         # Graceful drain: the pool's workers are gone.
         assert service.executor.closed
         assert not any(_pid_alive(pid) for pid in pids)
@@ -156,12 +161,18 @@ class TestConcurrentClients:
         self._assert_stream_stats(stats, results)
         assert stats["total"]["sequential"] == 1 + len(results)
         assert all(r.num_procs == 1 for _, r in results)
+        # 20 near-duplicates vs 4 fresh: at least one near-duplicate is
+        # served right after a base-family solve in every interleaving,
+        # and those hits do repair work.
+        assert stats["total"]["hits"] > 0
+        assert stats["total"]["delta_cells"] > 0
+        hits = [r for _, r in results if r.cache == CACHE_HIT]
+        assert sum(r.delta_cells for r in hits) > 0
 
-    def test_exact_duplicate_is_the_cheapest_hit(self, pin_pool_path):
-        # Pinned to the pool: left to the model, a class whose measured
+    def test_exact_duplicate_is_the_cheapest_hit(self, pin_in_process):
+        # Pinned in-process: left to the model, a class whose measured
         # sequential time sits near the pool's break-even could move to
-        # the pool after its first solve, making the resend a miss.  The
-        # in-process resend is covered in test_in_process.py.
+        # the pool after its first solve, making the resend a miss.
         rng = np.random.default_rng(3)
         problem = LCSProblem(
             *homologous_pair(SIZE, rng, divergence=0.1), width=WIDTH
@@ -173,7 +184,7 @@ class TestConcurrentClients:
         _assert_identical(problem, again)
         assert first.cache == CACHE_MISS
         assert again.cache == CACHE_HIT
-        # Zero dirty stages: the repair sweep finds nothing to change.
+        # Zero dirty stages: the resident answer is returned unswept.
         assert again.delta_cells == 0
 
 
