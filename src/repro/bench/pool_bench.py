@@ -17,8 +17,8 @@ regression can never launder itself into the next run's baseline.
 Re-baselining after an accepted slowdown is an explicit act
 (``--update-baseline``).
 
-Besides the timing grid, the runner asserts two observability
-guarantees of the tracing layer (recorded under ``"checks"``):
+Besides the timing grid, the runner asserts these checks (recorded
+under ``"checks"``):
 
 - ``tracing_disabled_overhead`` — a pool solve with tracing disabled
   (either ``tracer=None`` or a ``Tracer(enabled=False)``) stays within
@@ -40,7 +40,11 @@ guarantees of the tracing layer (recorded under ``"checks"``):
   and ``nw_xl`` pool rows must be bit-identical to the dense tier-off
   solve and at least ``KERNEL_TIER_SPEEDUP_*`` times faster in
   cells/sec.  The classic grid rows pin ``use_kernels=False`` so their
-  timings stay comparable with pre-kernel baselines.
+  timings stay comparable with pre-kernel baselines;
+- ``fixup_stops_early`` — on those tier-on rows, the ``fixup[1]``
+  superstep's best-of-N wall-clock over the ``forward`` superstep's must
+  stay within ``FIXUP_STOP_RATIO_*``: a fix-up that converges after a
+  few dozen stages may not re-sweep its whole range (paper Fig 4).
 
 Every result row carries ``"valid"``: a row whose best-of-N floor is
 not strictly positive (a broken clock, a sub-resolution measurement)
@@ -122,6 +126,16 @@ KERNEL_TIER_SPEEDUP_SMOKE = 2.0
 #: Problems with a registered stage-block kernel, at sizes where raw
 #: sweep speed dominates (see ``build_problem``).
 KERNEL_TIER_PROBLEMS = ("viterbi_xl", "nw_xl")
+
+#: Ceilings on a tier-on kernel row's ``fixup[1]`` / ``forward``
+#: superstep wall-clock ratio (``fixup_stops_early``).  The full rows
+#: converge in a small share of their ranges, so their fix-up must cost
+#: under half a forward pass.  The smoke rows' ranges are short enough
+#: that the per-chunk gate and the round trip weigh in: only
+#: ``viterbi_xl`` is gated there (the fix-up must not cost more than the
+#: forward pass); smoke ``nw_xl`` is recorded only.
+FIXUP_STOP_RATIO_FULL = {"viterbi_xl": 0.5, "nw_xl": 0.5}
+FIXUP_STOP_RATIO_SMOKE = {"viterbi_xl": 1.0}
 
 SEED = 2014  # PPoPP year; fixed so instances are bit-reproducible.
 
@@ -208,15 +222,16 @@ def _timed_solve(problem, executor, procs: int, tracer=None, use_delta=False,
 
 def _measure(problem, executor, procs: int, repeats: int, tracer=None, use_delta=False,
              use_kernels: bool | None = False):
-    """Best-of-N floor + median; returns (times, last_solution)."""
+    """Best-of-N floor + median; returns (times, solutions)."""
     times = []
-    solution = None
+    solutions = []
     for _ in range(repeats):
         elapsed, solution = _timed_solve(
             problem, executor, procs, tracer, use_delta, use_kernels
         )
         times.append(elapsed)
-    return times, solution
+        solutions.append(solution)
+    return times, solutions
 
 
 def _fixup_cells(metrics) -> float:
@@ -269,10 +284,10 @@ def _run_grid(smoke: bool, repeats: int) -> list[dict]:
     for cell in _grid(smoke):
         problem = build_problem(cell.problem, smoke)
         with get_executor(cell.executor) as executor:
-            times, solution = _measure(
+            times, solutions = _measure(
                 problem, executor, cell.procs, repeats, use_delta=cell.use_delta
             )
-        results.append(_result_row(cell, repeats, times, solution))
+        results.append(_result_row(cell, repeats, times, solutions[-1]))
         row = results[-1]
         mode_tag = "delta" if cell.use_delta else "dense"
         print(
@@ -389,9 +404,11 @@ def _check_runner_scaling(smoke: bool, repeats: int) -> dict:
     return {"rows": rows, "passed": bool(rows) and identical}
 
 
-def _run_kernel_tier(smoke: bool, repeats: int) -> tuple[list[dict], dict]:
+def _run_kernel_tier(smoke: bool, repeats: int) -> tuple[list[dict], dict, dict]:
     """Kernel-tier rows (``kernel_tier: true/false`` at identical sizes)
-    plus the ``kernel_tier_speedup`` check.
+    plus the ``kernel_tier_speedup`` check and the tier-on solutions of
+    each problem (the ``fixup_stops_early`` check reads their
+    per-superstep wall-clock).
 
     For each scaled problem the pool solves once with the block-kernel
     tier off and once with it on.  The check passes iff every pair is
@@ -405,11 +422,12 @@ def _run_kernel_tier(smoke: bool, repeats: int) -> tuple[list[dict], dict]:
     procs = 2
     rows: list[dict] = []
     pairs: list[dict] = []
+    tier_on_solutions: dict[str, list] = {}
     identical = True
     fast_enough = True
     for problem_name in KERNEL_TIER_PROBLEMS:
         problem = build_problem(problem_name, smoke)
-        per_mode: dict[bool, tuple[list[float], object]] = {}
+        per_mode: dict[bool, tuple[list[float], list]] = {}
         with get_executor("pool") as executor:
             # Warm workers, the problem install, and the kernel plan
             # cache so neither mode pays one-time costs in its floor.
@@ -419,10 +437,11 @@ def _run_kernel_tier(smoke: bool, repeats: int) -> tuple[list[dict], dict]:
                     problem, executor, procs, repeats, use_kernels=use_kernels
                 )
         cps_by_mode: dict[bool, tuple[float, bool]] = {}
+        tier_on_solutions[problem_name] = per_mode[True][1]
         for use_kernels in (False, True):
-            times, solution = per_mode[use_kernels]
+            times, solutions = per_mode[use_kernels]
             cell = GridCell(problem_name, "pool", procs, kernel_tier=use_kernels)
-            row = _result_row(cell, repeats, times, solution)
+            row = _result_row(cell, repeats, times, solutions[-1])
             row["kernel_tier"] = use_kernels
             cps_by_mode[use_kernels] = (row["cells_per_second"], row["valid"])
             rows.append(row)
@@ -432,7 +451,7 @@ def _run_kernel_tier(smoke: bool, repeats: int) -> tuple[list[dict], dict]:
                 f"best {row['wall_seconds'] * 1e3:8.2f} ms  "
                 f"{row['cells_per_second'] / 1e6:8.2f} Mcells/s"
             )
-        off, on = per_mode[False][1], per_mode[True][1]
+        off, on = per_mode[False][1][-1], per_mode[True][1][-1]
         cell_identical = bool(
             np.array_equal(off.path, on.path)
             and off.score == on.score
@@ -465,7 +484,71 @@ def _run_kernel_tier(smoke: bool, repeats: int) -> tuple[list[dict], dict]:
         "bit_identical": identical,
         "passed": bool(pairs) and identical and fast_enough,
     }
-    return rows, check
+    return rows, check, tier_on_solutions
+
+
+def _superstep_floor(solutions, label: str) -> float | None:
+    """Best-of-N wall-clock of the superstep ``label`` across solves."""
+    seconds = [
+        s.wall_seconds
+        for solution in solutions
+        for s in solution.metrics.supersteps
+        if s.label == label
+    ]
+    return min(seconds) if seconds else None
+
+
+def _fixup_forward_ratio(solutions) -> tuple[float | None, float | None, float | None]:
+    fixup = _superstep_floor(solutions, "fixup[1]")
+    forward = _superstep_floor(solutions, "forward")
+    if fixup is None or not forward:
+        return fixup, forward, None
+    return fixup, forward, fixup / forward
+
+
+def _check_fixup_stops_early(smoke: bool, repeats: int, solutions: dict) -> dict:
+    """A kernel-tier fix-up sweep must stop at convergence in wall-clock.
+
+    On each tier-on kernel row, the ``fixup[1]`` superstep's best-of-N
+    wall-clock is compared with the ``forward`` superstep's.  The forward
+    pass sweeps every stage; a fix-up that converges after a few dozen
+    stages must cost a fraction of that (paper Fig 4), not re-sweep the
+    whole range.  Every ratio is recorded; rows with a threshold in
+    :data:`FIXUP_STOP_RATIO_FULL` / :data:`FIXUP_STOP_RATIO_SMOKE` gate
+    the check.  A gated row that fails is re-measured once with more
+    repeats (a loaded host can inflate one superstep's floor) before
+    the check fails.
+    """
+    thresholds = FIXUP_STOP_RATIO_SMOKE if smoke else FIXUP_STOP_RATIO_FULL
+    rows = []
+    passed = True
+    for problem_name in KERNEL_TIER_PROBLEMS:
+        threshold = thresholds.get(problem_name)
+        fixup, forward, ratio = _fixup_forward_ratio(solutions[problem_name])
+        attempts = 1
+        if threshold is not None and (ratio is None or ratio > threshold):
+            attempts = 2
+            problem = build_problem(problem_name, smoke)
+            with get_executor("pool") as executor:
+                _timed_solve(problem, executor, 2, use_kernels=True)
+                _, again = _measure(
+                    problem, executor, 2, max(3, 2 * repeats), use_kernels=True
+                )
+            fixup, forward, ratio = _fixup_forward_ratio(again)
+        ok = threshold is None or (ratio is not None and ratio <= threshold)
+        passed &= ok
+        rows.append(
+            {
+                "problem": problem_name,
+                "fixup_seconds": fixup,
+                "forward_seconds": forward,
+                "ratio": ratio,
+                "threshold": threshold,
+                "attempts": attempts,
+                "passed": ok,
+            }
+        )
+    return {"rows": rows, "passed": passed}
 
 
 # ----------------------------------------------------------------------
@@ -654,7 +737,7 @@ def run_suite(smoke: bool, repeats: int, trace_path: str | None = None) -> tuple
     results = _run_grid(smoke, repeats)
 
     print("kernel tier:")
-    tier_rows, tier_check = _run_kernel_tier(smoke, repeats)
+    tier_rows, tier_check, tier_solutions = _run_kernel_tier(smoke, repeats)
     results.extend(tier_rows)
 
     print("checks:")
@@ -664,6 +747,7 @@ def run_suite(smoke: bool, repeats: int, trace_path: str | None = None) -> tuple
         "delta_fixup_reduction": _check_delta_fixup_reduction(results),
         "runner_scaling": _check_runner_scaling(smoke, repeats),
         "kernel_tier_speedup": tier_check,
+        "fixup_stops_early": _check_fixup_stops_early(smoke, repeats, tier_solutions),
     }
     for name, check in checks.items():
         print(f"  {name}: {'pass' if check['passed'] else 'FAIL'} {check}")

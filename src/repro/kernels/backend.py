@@ -60,8 +60,11 @@ void viterbi_block(const double *v0, const double *M, const int64_t *perm,
         for (int64_t s = 0; s < S; s++) {
             double c0 = vin[perm[s]] + m[s];
             double c1 = vin[perm[S + s]] + m[S + s];
-            if (c1 > c0) { os[s] = c1; op[s] = pred0[s] + 1; }
-            else         { os[s] = c0; op[s] = pred0[s]; }
+            /* Branch-free select (compiled to a conditional move, so
+               no mispredicts on noisy metrics); ties keep branch 0. */
+            int64_t gt = c1 > c0;
+            os[s] = gt ? c1 : c0;
+            op[s] = pred0[s] + gt;
         }
         vin = os;
     }
@@ -232,12 +235,9 @@ def _try_numba() -> Backend | None:
                 for s in range(S):
                     c0 = vin[perm[s]] + M[t, s]
                     c1 = vin[perm[S + s]] + M[t, S + s]
-                    if c1 > c0:
-                        out_s[t, s] = c1
-                        out_p[t, s] = pred0[s] + 1
-                    else:
-                        out_s[t, s] = c0
-                        out_p[t, s] = pred0[s]
+                    gt = c1 > c0
+                    out_s[t, s] = c1 if gt else c0
+                    out_p[t, s] = pred0[s] + gt
                 vin = out_s[t]
 
         @numba.njit(cache=False, fastmath=False)

@@ -87,7 +87,10 @@ _LOCKED_RE = re.compile(r"#\s*repro:\s*locked\[(?P<locks>[^\]]+)\]")
 #: computed receiver (``self._conns[w].send``) still matches.
 _BLOCKING_PIPE = frozenset({"send", "recv", "send_bytes", "recv_bytes", "poll"})
 _BLOCKING_DISPATCH = frozenset(
-    {"dispatch", "_dispatch", "_dispatch_locked", "run_superstep", "call_slots", "broadcast"}
+    {
+        "dispatch", "_dispatch", "_dispatch_locked", "run_superstep",
+        "call_slots", "broadcast", "post",
+    }
 )
 _BLOCKING_WAIT = frozenset({"wait", "wait_for"})
 

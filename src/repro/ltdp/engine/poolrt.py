@@ -6,8 +6,10 @@ and keeps that slot's stage vectors, predecessor vectors and backward
 path segment **inside the worker**
 (:class:`~repro.ltdp.engine.store.WorkerStore`) for the whole solve:
 
-- ``begin`` (constructor) pickles the problem **once** and broadcasts
-  it to every worker;
+- ``begin`` (constructor) pickles the problem **once** and posts it
+  to every worker (:meth:`~repro.machine.pool.PoolProcessExecutor.post`:
+  sent, not awaited — the first superstep dispatch queues behind it in
+  each worker's pipe and discards its reply as stale);
 - each superstep ships only sequence-numbered instructions (a spec —
   a boundary vector + scalars — per processor) and receives *stripped*
   results — the O(width) range-final vector and scalar accounting,
@@ -28,8 +30,10 @@ path segment **inside the worker**
 
 Sessions: each runtime owns a **session key** and all of its worker-side
 state lives under ``ns["sessions"][key]``, so runtimes sharing one pool
-cannot trample each other's resident state.  ``finish()`` drops the
-session from the workers.
+cannot trample each other's resident state.  ``finish()`` posts the
+session drop to the workers, again without waiting.  A session missing
+from a worker (its posted install failed) fails the superstep that
+needs it with an error naming the session.
 
 Crash recovery is "re-run a program suffix": the shared
 :class:`~repro.ltdp.engine.program.InstructionProgram` *is* the replay
@@ -66,7 +70,7 @@ __all__ = ["PoolRuntime"]
 
 # ----------------------------------------------------------------------
 # Worker-side namespace functions (run via PoolProcessExecutor.call_slots
-# / broadcast; ``ns`` is the worker's persistent namespace dict, and the
+# / post; ``ns`` is the worker's persistent namespace dict, and the
 # per-session state lives under ``ns["sessions"][key]``).
 # ----------------------------------------------------------------------
 
@@ -120,7 +124,12 @@ def _w_run_instr(ns, key: str, seq: int, spec: SuperstepSpec) -> SpecResult:
     boundary vector + scalars (+ path indices, which are the backward
     phase's output).
     """
-    sess = ns["sessions"][key]
+    sess = ns.get("sessions", {}).get(key)
+    if sess is None:
+        raise LookupError(
+            f"pool session {key!r} is not installed on this worker "
+            "(its problem install failed or it was already dropped)"
+        )
     store = sess["states"][spec.proc]
     cached = store.results.get(seq)
     if cached is not None:
@@ -182,18 +191,16 @@ class PoolRuntime(SuperstepRuntime):
         # into the same tracer; cleared again in finish() so later
         # untraced solves on a shared pool stay untraced.  A disabled
         # tracer keeps the pool on its untraced send path.
-        if hasattr(pool, "set_tracer"):
-            pool.set_tracer(self.tracer)
+        pool.set_tracer(self.tracer)
         self._problem_blob = blob = self._pickle_problem(problem)
         # Every worker learns every slot id; a slot's state only ever
         # fills on its owning worker, the rest stay empty placeholders.
         slots = [rg.proc for rg in self.forward_ranges]
         self._slots = slots
-        if hasattr(self.pool, "add_rebuild_hook"):
-            self.pool.add_rebuild_hook(self, self._rebuild_worker)
-        elif hasattr(self.pool, "set_rebuild_hook"):
-            self.pool.set_rebuild_hook(self._rebuild_worker)
-        self.pool.broadcast(_w_reset, (self.session_key, blob, slots))
+        # Hook before posting: a worker that dies on the install is
+        # rebuilt (session included) by the next dispatch's recovery.
+        self.pool.add_rebuild_hook(self, self._rebuild_worker)
+        self.pool.post(_w_reset, (self.session_key, blob, slots))
         self._crew: RunnerCrew | None = None
         if _wants_crew(runners, delivery):
             self._crew = RunnerCrew(
@@ -203,8 +210,7 @@ class PoolRuntime(SuperstepRuntime):
                 tracer=self.tracer,
                 policy=delivery,
             )
-            if hasattr(pool, "add_teardown_hook"):
-                pool.add_teardown_hook(self._crew.close)
+            pool.add_teardown_hook(self._crew.close)
 
     @staticmethod
     def _pickle_problem(problem: LTDPProblem) -> bytes:
@@ -307,6 +313,12 @@ class PoolRuntime(SuperstepRuntime):
         forward owners and install them — driver-mediated, once, before
         the backward supersteps start.
         """
+        own = {rg.proc: rg for rg in forward_ranges}
+        if all(
+            rg.proc in own and own[rg.proc].lo <= rg.lo and rg.hi <= own[rg.proc].hi
+            for rg in backward_ranges
+        ):
+            return  # every backward range lies inside its slot's forward range
         owner_of: dict[int, int] = {}
         owned: dict[int, set[int]] = {}
         for rg in forward_ranges:
@@ -385,19 +397,14 @@ class PoolRuntime(SuperstepRuntime):
         self._finished = True
         if self._crew is not None:
             self._crew.close()
-            if hasattr(self.pool, "remove_teardown_hook"):
-                self.pool.remove_teardown_hook(self._crew.close)
+            self.pool.remove_teardown_hook(self._crew.close)
             self._crew = None
-        # Unhook before dropping: a worker respawn triggered by the drop
-        # broadcast must not first replay the session it is dropping.
-        if hasattr(self.pool, "remove_rebuild_hook"):
-            self.pool.remove_rebuild_hook(self)
-        elif hasattr(self.pool, "set_rebuild_hook"):
-            self.pool.set_rebuild_hook(None)
-        if hasattr(self.pool, "set_tracer"):
-            self.pool.set_tracer(None)
+        # Unhook before dropping: a worker respawn triggered after the
+        # drop must not replay the session it is dropping.
+        self.pool.remove_rebuild_hook(self)
+        self.pool.set_tracer(None)
         try:
-            self.pool.broadcast(_w_drop, (self.session_key,))
+            self.pool.post(_w_drop, (self.session_key,))
         except ExecutorError:
             # Closed or broken pool: the workers (and their sessions)
             # are gone anyway.

@@ -34,7 +34,12 @@ import numpy as np
 from repro.exceptions import ZeroVectorError
 from repro.ltdp.delta import BoundaryDiff, delta_fixup_work
 from repro.ltdp.problem import LTDPProblem
-from repro.semiring.vector import are_parallel, is_zero_vector, random_nonzero_vector
+from repro.semiring.vector import (
+    are_parallel,
+    first_parallel_row,
+    is_zero_vector,
+    random_nonzero_vector,
+)
 
 __all__ = [
     "StageStore",
@@ -45,7 +50,15 @@ __all__ = [
     "ObjectiveSpec",
     "BackwardInitSpec",
     "BackwardFixupSpec",
+    "FIXUP_FIRST_CHUNK",
 ]
+
+#: Stages in the first chunk of a kernel-tier fix-up sweep; each later
+#: chunk doubles.  Small enough that a sweep converging within a few
+#: dozen stages (the common case, §4.2) computes little past its
+#: convergence stage, while a sweep that never converges still runs in
+#: O(log range) dispatches.
+FIXUP_FIRST_CHUNK = 64
 
 
 class StageStore(Protocol):
@@ -231,9 +244,10 @@ class ForwardFixupSpec(SuperstepSpec):
     vectors (:meth:`is_converged`), with the problem's tolerance baked
     into the spec.
 
-    With ``use_kernels`` the whole range is swept in one block-kernel
-    dispatch (capturing §4.7 state when ``sparse``); the per-stage loop
-    is the fallback when no kernel accepts the range.  On that loop, in
+    With ``use_kernels`` the range is swept in growing block-kernel
+    chunks that stop at the first chunk holding a converged stage
+    (capturing §4.7 state when ``sparse``); the per-stage loop is the
+    fallback when a kernel declines a chunk.  On that loop, in
     delta mode (``use_delta``), problems with a sparse kernel
     (``sparse``) propagate only the changed positions through each
     resident stage via
@@ -334,41 +348,62 @@ class ForwardFixupSpec(SuperstepSpec):
         )
 
     def _execute_block(self, problem, store, v) -> SpecResult | None:
-        """Kernel-tier sweep: one dispatch, then the same per-stage
-        convergence/zero/work walk as :meth:`_execute_stages`, in
-        stage order.  ``None`` when no kernel accepts the range."""
+        """Kernel-tier sweep in growing chunks that stops at convergence.
+
+        The first chunk covers :data:`FIXUP_FIRST_CHUNK` stages and each
+        later one twice the previous, each continuing from the last row
+        of the one before (a chunk that would leave a single stage takes
+        it too: a lone range-final selector stage is one no kernel
+        accepts).  Each chunk is one gated :func:`block_sweep`, and the
+        sweep ends with the first chunk that holds a converged row, so
+        wall-clock follows ``stages_done`` (paper Fig 4) instead of the
+        whole range.  Zero/convergence/work bookkeeping matches
+        :meth:`_execute_stages` row for row, in stage order.  ``None``
+        when a kernel declines any chunk: the caller then re-runs the
+        whole range on the dense path.
+        """
         from repro.kernels import block_sweep
 
-        sweep = block_sweep(problem, self.lo, self.hi, v, capture_state=self.sparse)
-        if sweep is None:
-            return None
         new_s: dict[int, np.ndarray] = {}
         new_pred: dict[int, np.ndarray] = {}
         new_states: dict[int, object] = {}
         work = 0.0
         stages_done = 0
         converged = False
-        for r, i in enumerate(self.stages()):
-            if r == sweep.zero_index:
+        charge_delta = self.use_delta and not self.sparse
+        lo, x, size = self.lo, v, FIXUP_FIRST_CHUNK
+        while lo < self.hi and not converged:
+            hi = min(lo + size, self.hi)
+            if self.hi - hi == 1:
+                hi = self.hi
+            sweep = block_sweep(problem, lo, hi, x, capture_state=self.sparse)
+            if sweep is None:
+                return None
+            old = [store.get_s(i) for i in range(lo + 1, hi + 1)]
+            stop = first_parallel_row(sweep.values, old, self.tol)
+            if sweep.zero_index is not None and (stop is None or sweep.zero_index <= stop):
                 raise ZeroVectorError(
-                    f"stage {i} produced an all--inf vector in fix-up"
+                    f"stage {lo + 1 + sweep.zero_index} produced an all--inf "
+                    "vector in fix-up"
                 )
-            nv = sweep.values[r]
-            new_pred[i] = sweep.preds[r]
-            if self.sparse:
-                new_states[i] = sweep.states[r]
-            old = store.get_s(i)
-            if self.use_delta and not self.sparse:
-                work += delta_fixup_work(old, nv)
-            else:
-                # Cells the kernel actually computed: a block sweep is
-                # dense even in sparse mode.
-                work += float(sweep.costs[r])
-            stages_done += 1
-            if self.is_converged(nv, old):
-                converged = True
-                break
-            new_s[i] = nv
+            rows = hi - lo if stop is None else stop + 1
+            for r in range(rows):
+                i = lo + 1 + r
+                nv = sweep.values[r]
+                new_pred[i] = sweep.preds[r]
+                if self.sparse:
+                    new_states[i] = sweep.states[r]
+                if charge_delta:
+                    work += delta_fixup_work(old[r], nv)
+                else:
+                    # Cells the kernel actually computed: a block sweep
+                    # is dense even in sparse mode.
+                    work += float(sweep.costs[r])
+                if r != stop:
+                    new_s[i] = nv
+            stages_done += rows
+            converged = stop is not None
+            lo, x, size = hi, sweep.values[-1], 2 * size
         return self._result(
             store, v, new_s, new_pred, new_states,
             work, stages_done, converged,

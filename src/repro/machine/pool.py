@@ -15,7 +15,11 @@ them over pipes:
   namespace dict.  The LTDP engine uses this to ship the problem once,
   keep per-processor stage vectors resident in the workers, and
   exchange only boundary vectors per superstep — the paper's
-  O(boundary) communication model made real.
+  O(boundary) communication model made real;
+- **posts** — :meth:`post` sends one namespace call to every worker
+  without waiting for the replies (the engine's per-solve problem
+  install and session drop), which the next dispatch discards as
+  stale.
 
 Slots are 1-based virtual processor ids; slot ``p`` always maps to
 worker ``(p-1) % max_workers``, so per-slot state stays on one worker
@@ -272,6 +276,10 @@ class PoolProcessExecutor(Executor):
         #: One entry per dispatched superstep: the set of worker PIDs
         #: that replied.  Tests use this to assert PID stability.
         self.pid_log: deque[frozenset[int]] = deque(maxlen=1024)
+        # Traced posts whose replies are still in a worker's pipe, per
+        # worker: seq -> (tracer, span).  The stale reply completes the
+        # span.  Each dict is touched only under its worker's lock.
+        self._pending_posts: list[dict[int, tuple[Any, Any]]] = []
 
     # ------------------------------------------------------------------
     def _spawn_worker(self) -> tuple[Any, Any]:
@@ -299,6 +307,7 @@ class PoolProcessExecutor(Executor):
                 self._conns.append(conn)
             while len(self._worker_locks) < len(self._procs):
                 self._worker_locks.append(threading.RLock())
+                self._pending_posts.append({})
             if self._finalizer is None:
                 self._finalizer = weakref.finalize(
                     self, _shutdown_workers, self._procs, self._conns
@@ -342,18 +351,6 @@ class PoolProcessExecutor(Executor):
         """Deregister ``owner``'s hook (no-op when absent)."""
         with self._state_lock:
             self._rebuild_hooks.pop(owner, None)
-
-    def set_rebuild_hook(
-        self, hook: Callable[[int], tuple[list, int]] | None
-    ) -> None:
-        """Single-session compatibility shim over :meth:`add_rebuild_hook`.
-
-        Registers ``hook`` under a default owner; ``None`` clears it.
-        """
-        if hook is None:
-            self.remove_rebuild_hook("__default__")
-        else:
-            self.add_rebuild_hook("__default__", hook)
 
     def set_tracer(self, tracer) -> None:
         """Attach a :class:`~repro.machine.trace.Tracer` (or ``None``).
@@ -462,13 +459,14 @@ class PoolProcessExecutor(Executor):
                 self._conns[w].send(("ping", seq, None))
                 deadline = time.monotonic() + timeout
                 while True:
-                    _, rseq, _, _ = self._recv(
+                    _, rseq, _, meta = self._recv(
                         w, max(1e-6, deadline - time.monotonic())
                     )
                     if rseq == seq:
                         return True
                     if rseq > seq:  # pragma: no cover - defensive
                         return False
+                    self._discard_stale(w, rseq, meta)
             except (WorkerCrashError, ExecutorError, BrokenPipeError, OSError):
                 self._broken = prior_broken  # repro: noqa[REP007]: a failed ping itself is not fatal; undoes _recv's mark without claiming the state lock inside the worker lock
                 return False
@@ -506,6 +504,7 @@ class PoolProcessExecutor(Executor):
             self._worker_locks[w].release()
 
     def _recover_worker_locked(self, w: int) -> None:
+        self._pending_posts[w].clear()  # their replies die with the worker
         old = self._procs[w]
         try:
             self._conns[w].close()
@@ -704,7 +703,9 @@ class PoolProcessExecutor(Executor):
             if rseq == seq:
                 return pid, reply, meta
             if rseq < seq:
-                continue  # stale reply from an abandoned dispatch: drop
+                # Stale reply (a post, or an abandoned dispatch): drop.
+                self._discard_stale(w, rseq, meta)
+                continue
             self._mark_broken(
                 f"worker {w} replied with future sequence {rseq}"
             )
@@ -712,6 +713,23 @@ class PoolProcessExecutor(Executor):
                 f"pool protocol error: worker {w} replied with sequence "
                 f"{rseq} while {seq} was awaited"
             )
+
+    def _discard_stale(self, w: int, rseq: int, meta: dict) -> None:
+        """Drop worker ``w``'s reply to an earlier seq; if that seq was a
+        traced post, complete its ``dispatch`` span from the reply."""
+        pending = self._pending_posts[w].pop(rseq, None)
+        if pending is None:
+            return
+        tracer, span = pending
+        sent = span.end + tracer.epoch
+        recv_t = meta.get("recv_t", sent)
+        done_t = meta.get("done_t", recv_t)
+        span.end = max(span.end, done_t - tracer.epoch)
+        span.attrs.update(
+            queue_wait_seconds=max(0.0, recv_t - sent),
+            compute_seconds=max(0.0, done_t - recv_t),
+            reply_bytes=meta.get("reply_bytes", 0),
+        )
 
     # -- classic Executor contract -------------------------------------
     def run_superstep(self, tasks: Sequence[Task]) -> list[Any]:
@@ -802,6 +820,80 @@ class PoolProcessExecutor(Executor):
         if errors:
             raise ExecutorError("; ".join(errors))
         return results
+
+    def post(self, fn: Callable, args: tuple = ()) -> None:
+        """Send ``fn(namespace, *args)`` to *every* worker without waiting.
+
+        A one-way :meth:`broadcast`: one sequence number (counted in
+        :attr:`dispatch_count`, so fault plans can target it) and one
+        pickled message shared by all workers.  Nothing is awaited:
+
+        - each worker's reply stays in its pipe until the next dispatch
+          or :meth:`ping` to that worker discards it as stale by
+          sequence number;
+        - a call that fails in the worker is only visible through its
+          effect (the next call that needs it must report that);
+        - a worker that is dead, or dies on the post, is left to the
+          next dispatch's crash recovery, whose rebuild hooks re-install
+          whatever resident state the registered sessions need.
+
+        Pipe order per worker is preserved, so a later dispatch runs
+        after the posted call.  When tracing, each send records a
+        ``dispatch`` span with its send time and request bytes; the
+        stale reply, once read, completes it with the worker's
+        queue-wait and compute seconds and the reply bytes.
+        """
+        self._check_open()
+        self._ensure_workers()
+        self._check_broken()
+        workers = range(len(self._procs))
+        locks = [self._worker_locks[w] for w in workers]
+        for lock in locks:
+            lock.acquire()
+        try:
+            with self._state_lock:
+                seq = self._next_seq()
+                self.dispatch_count += 1
+                fault = self._fault_plan.pop(seq, None)
+            if fault is not None:
+                self._kill_worker(fault)
+            try:
+                blob = pickle.dumps(
+                    ("nscalls", seq, [(fn, args)]), protocol=pickle.HIGHEST_PROTOCOL
+                )
+            except (pickle.PicklingError, TypeError, AttributeError) as exc:
+                raise ExecutorError(
+                    f"cannot post to the pool workers: {exc!r} "
+                    "(calls and their arguments must be picklable)"
+                ) from exc
+            tracer = self._tracer
+            for w in workers:
+                s0 = time.perf_counter()
+                try:
+                    self._conns[w].send_bytes(blob)
+                except (BrokenPipeError, OSError):
+                    continue  # dead worker: the next dispatch recovers it
+                if tracer:
+                    s1 = time.perf_counter()
+                    span = tracer.add_span(
+                        "dispatch",
+                        s0,
+                        s1,
+                        worker=w,
+                        pid=self._procs[w].pid,
+                        seq=seq,
+                        kind="post",
+                        calls=1,
+                        send_seconds=s1 - s0,
+                        queue_wait_seconds=0.0,
+                        compute_seconds=0.0,
+                        request_bytes=len(blob),
+                        reply_bytes=0,
+                    )
+                    self._pending_posts[w][seq] = (tracer, span)
+        finally:
+            for lock in reversed(locks):
+                lock.release()
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "PoolProcessExecutor":

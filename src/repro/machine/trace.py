@@ -113,10 +113,14 @@ class Tracer:
         return self.enabled
 
     # -- recording ------------------------------------------------------
-    def add_span(self, name: str, start: float, end: float, **attrs: Any) -> None:
-        """Record a finished span; ``start``/``end`` are raw perf_counter values."""
+    def add_span(self, name: str, start: float, end: float, **attrs: Any) -> Span | None:
+        """Record a finished span; ``start``/``end`` are raw perf_counter values.
+
+        Returns the recorded span (``None`` when disabled), so a caller
+        that learns more about the operation later can complete it.
+        """
         if not self.enabled:
-            return
+            return None
         span = Span(
             name=name,
             start=start - self.epoch,
@@ -125,6 +129,7 @@ class Tracer:
         )
         self.spans.append(span)
         self._order.append(span)
+        return span
 
     @contextmanager
     def span(self, name: str, **attrs: Any) -> Iterator[None]:

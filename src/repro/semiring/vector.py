@@ -19,6 +19,7 @@ __all__ = [
     "is_all_nonzero",
     "is_zero_vector",
     "are_parallel",
+    "first_parallel_row",
     "parallel_offset",
     "normalize",
     "random_nonzero_vector",
@@ -68,6 +69,74 @@ def are_parallel(u: np.ndarray, v: np.ndarray, *, tol: float = 0.0) -> bool:
     if tol == 0.0:
         return bool(np.all(diff == diff[0]))
     return bool(np.max(diff) - np.min(diff) <= tol)
+
+
+#: Elements per vectorized block of :func:`first_parallel_row`.  Blocks
+#: keep every temporary below the allocator's mmap threshold (a fresh
+#: 128 KiB+ array pays a page fault per page on every call) and let a
+#: scan that finds an early parallel row skip the remaining rows.
+_PARALLEL_BLOCK_ELEMS = 2048
+
+
+def first_parallel_row(new_rows, old_rows, tol: float = 0.0) -> int | None:
+    """Index of the first ``r`` with ``are_parallel(new_rows[r], old_rows[r])``.
+
+    ``None`` when no row pair is parallel.  Rows are tested a block at a
+    time with exactly :func:`are_parallel`'s semantics (same ``-inf``
+    masks, all-zero pairs parallel, exact offset equality at
+    ``tol == 0``, offset spread ``<= tol`` otherwise).  A block whose
+    rows differ in width (banded stages change width at the band edges)
+    falls back to :func:`are_parallel` row by row.
+    """
+    if len(new_rows) != len(old_rows):
+        raise DimensionError(
+            f"{len(new_rows)} new rows against {len(old_rows)} stored rows"
+        )
+    if not len(new_rows):
+        return None
+    step = max(1, _PARALLEL_BLOCK_ELEMS // max(1, np.size(new_rows[0])))
+    for start in range(0, len(new_rows), step):
+        new_block = new_rows[start : start + step]
+        old_block = old_rows[start : start + step]
+        try:
+            u = np.asarray(new_block, dtype=np.float64)
+            v = np.asarray(old_block, dtype=np.float64)
+        except ValueError:  # ragged block
+            u = v = None
+        if u is None or u.ndim != 2 or u.shape != v.shape or not u.shape[1]:
+            for r, (a, b) in enumerate(zip(new_block, old_block)):
+                if are_parallel(a, b, tol=tol):
+                    return start + r
+            continue
+        hits = _parallel_rows(u, v, tol)
+        if hits.size:
+            return start + int(hits[0])
+    return None
+
+
+def _parallel_rows(u: np.ndarray, v: np.ndarray, tol: float) -> np.ndarray:
+    """Indices of the rows where ``u[r] ∥ v[r]`` (2-D, equal shapes)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        diff = u - v
+        if np.isfinite(diff).all():
+            # The common case.  An infinite entry in either row makes
+            # its difference non-finite, so both rows are finite
+            # everywhere and there are no masks to compare.
+            if tol == 0.0:
+                return np.flatnonzero(np.all(diff == diff[:, :1], axis=1))
+            return np.flatnonzero(np.ptp(diff, axis=1) <= tol)
+        finite = np.isfinite(u)
+        same_mask = np.all(finite == np.isfinite(v), axis=1)
+        any_finite = finite.any(axis=1)
+        if tol == 0.0:
+            # Each row's offset is its first finite difference.
+            first = diff[np.arange(diff.shape[0]), np.argmax(finite, axis=1)]
+            constant = np.all((diff == first[:, None]) | ~finite, axis=1)
+        else:
+            hi = np.max(np.where(finite, diff, -np.inf), axis=1)
+            lo = np.min(np.where(finite, diff, np.inf), axis=1)
+            constant = hi - lo <= tol
+    return np.flatnonzero(same_mask & (constant | ~any_finite))
 
 
 def parallel_offset(u: np.ndarray, v: np.ndarray, *, tol: float = 0.0) -> float:

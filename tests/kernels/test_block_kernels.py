@@ -523,3 +523,81 @@ class TestBackends:
             for kp, rp in zip(got.preds, ref.preds):
                 assert np.array_equal(kp, rp)
         reset_plan_cache()
+
+
+def _tie_heavy_viterbi():
+    """A hard-decision packet where most add-compare-select decisions tie.
+
+    Every received symbol pair is ``01``: VOYAGER's two branches into a
+    state emit complementary symbols, so both branch metrics are 1 and
+    the candidates tie whenever the two predecessor metrics do (over a
+    third of all decisions).  A few random symbol pairs break the
+    symmetry so the metrics are not all equal.
+    """
+    rng = np.random.default_rng(19)
+    received = np.tile(np.array([0, 1], dtype=np.uint8), 160)
+    noisy = rng.choice(received.size // 2, size=8, replace=False)
+    for s in noisy:
+        received[2 * s : 2 * s + 2] = rng.integers(0, 2, 2)
+    return ViterbiDecoderProblem(VOYAGER, received, terminated=True)
+
+
+def _tie_fraction(problem) -> float:
+    ties = total = 0
+    v = problem.initial_vector()
+    for i in range(1, problem.num_stages + 1):
+        cand = v[problem._pred] + problem._branch_metrics(i)
+        ties += int(np.count_nonzero(cand[:, 0] == cand[:, 1]))
+        total += cand.shape[0]
+        v, _ = problem.apply_stage_with_pred(i, v)
+    return ties / total
+
+
+class TestViterbiTies:
+    """The branch-free ACS must break ties exactly like the dense kernel
+    (branch 0, i.e. ``np.argmax``) on every backend, not only on the
+    rows the dispatch gate happens to re-derive."""
+
+    PROBLEM = _tie_heavy_viterbi()
+
+    def test_instance_is_tie_heavy(self):
+        assert _tie_fraction(self.PROBLEM) > 0.3
+
+    @pytest.mark.parametrize("kind", ["cc", "numpy"])
+    def test_every_row_matches_dense(self, forced_backend, kind):
+        if forced_backend(kind).kind != kind:
+            pytest.skip(f"{kind} backend unavailable here")
+        reset_plan_cache()
+        problem = self.PROBLEM
+        assert_sweep_matches_dense(
+            problem, 0, problem.num_stages, problem.initial_vector(), False
+        )
+        # And from a tied, non-initial boundary mid-packet.
+        assert_sweep_matches_dense(
+            problem, 40, problem.num_stages, np.zeros(VOYAGER.num_states), False
+        )
+        reset_plan_cache()
+
+    @pytest.mark.parametrize("kind", ["cc", "numpy"])
+    def test_parallel_solve_identical_with_and_without_tier(self, forced_backend, kind):
+        from repro.ltdp.engine.driver import ParallelOptions, solve_parallel
+
+        if forced_backend(kind).kind != kind:
+            pytest.skip(f"{kind} backend unavailable here")
+        reset_plan_cache()
+        runs = {
+            use: solve_parallel(
+                self.PROBLEM,
+                ParallelOptions(
+                    num_procs=3, seed=2, executor=SerialExecutor(), use_kernels=use
+                ),
+            )
+            for use in (False, True)
+        }
+        off, on = runs[False], runs[True]
+        np.testing.assert_array_equal(on.path, off.path)
+        assert on.score == off.score
+        assert on.metrics.fixup_stages == off.metrics.fixup_stages
+        assert on.metrics.forward_fixup_iterations == off.metrics.forward_fixup_iterations
+        assert on.metrics.work_by_processor() == off.metrics.work_by_processor()
+        reset_plan_cache()

@@ -77,24 +77,25 @@ def _solve(problem, executor):
 def baseline():
     """Serial reference solution + the pooled solve's dispatch schedule.
 
-    A clean pooled solve issues one ``_dispatch`` per superstep plus the
-    initial problem broadcast, so superstep labels map 1:1 onto dispatch
-    sequence numbers — which is what fault plans key off.  (A trailing
-    session-drop broadcast from ``PoolRuntime.finish`` closes the solve;
-    it comes after every superstep, so the mapping is unaffected.)
+    A clean pooled solve issues one ``_dispatch`` per superstep after
+    the posted problem install (seq 1), so superstep labels map 1:1 onto
+    dispatch sequence numbers — which is what fault plans key off.  The
+    posted session drop from ``PoolRuntime.finish`` closes the solve
+    with the seq after the last superstep (``"drop"``).
     """
     problem = _make_problem()
     serial = _solve(problem, SerialExecutor())
     with PoolProcessExecutor(max_workers=2) as ex:
         pooled = _solve(problem, ex)
         # Pin the framing: without faults, seq == dispatch index
-        # (reset broadcast + supersteps + finish-time session drop).
+        # (posted install + supersteps + posted session drop).
         assert ex.dispatch_count == 2 + len(pooled.metrics.supersteps)
         assert ex.recovery_stats.respawns == 0
     np.testing.assert_array_equal(pooled.path, serial.path)
     seq_of = {"reset": 1}
     for i, record in enumerate(pooled.metrics.supersteps):
         seq_of.setdefault(record.label, 2 + i)
+    seq_of["drop"] = 2 + len(pooled.metrics.supersteps)
     return problem, serial, seq_of
 
 
@@ -114,7 +115,7 @@ class TestCrashRecoveryMidSolve:
     @pytest.mark.parametrize(
         "phase,worker",
         [
-            ("reset", 0),  # during the problem broadcast
+            ("reset", 0),  # on the posted problem install
             ("forward", 0),  # mid-forward initial pass
             ("forward", 1),
             ("fixup[1]", 0),  # mid-fix-up
@@ -139,6 +140,23 @@ class TestCrashRecoveryMidSolve:
         if phase not in ("reset", "forward"):
             # By fix-up time the worker's journal holds replayable specs.
             assert got.metrics.replayed_supersteps >= 1
+
+    @pytest.mark.parametrize("worker", [0, 1])
+    def test_kill_on_posted_drop_recovers_in_next_solve(self, baseline, worker):
+        """The session drop is posted, not awaited: a worker killed on it
+        is found dead by the next solve's first dispatch, respawned, and
+        rebuilt with the *new* session."""
+        problem, serial, seq_of = baseline
+        with PoolProcessExecutor(
+            max_workers=2, fault_plan={seq_of["drop"]: worker}
+        ) as ex:
+            first = _solve(problem, ex)
+            assert ex.recovery_stats.respawns == 0  # nothing waited on it
+            second = _solve(problem, ex)
+            assert ex.recovery_stats.respawns == 1
+        _assert_identical_to_serial(first, serial)
+        _assert_identical_to_serial(second, serial)
+        assert second.metrics.worker_respawns == 1
 
     def test_two_kills_in_one_solve(self, baseline):
         problem, serial, seq_of = baseline
