@@ -1,9 +1,10 @@
 """Compiled-backend resolution for the kernel tier.
 
-Three interchangeable implementations of the two block primitives
-(``viterbi_block`` — branch-major ACS over a trellis stage-block;
-``banded_block`` — banded alignment rows with the left-gap prefix
-scan), in preference order:
+Three interchangeable implementations of the block primitives
+(``viterbi_block`` — branch-major ACS over a trellis stage-block,
+returning its first all-0̄ row; ``banded_block`` — banded alignment
+rows with the left-gap prefix scan; ``traceback`` — the backward walk
+over a contiguous predecessor block), in preference order:
 
 1. **numba** — auto-detected; JIT builds of the same loops.  No
    ``fastmath``: every arithmetic op is the IEEE double op the dense
@@ -13,7 +14,8 @@ scan), in preference order:
    ``ctypes``.  Build artifacts are cached on disk keyed by a source
    hash; concurrent builders race benignly through ``os.replace``.
 3. **numpy** — no compiled primitives; kernels fall back to their
-   blocked pure-NumPy paths (still several stages per Python dispatch).
+   blocked pure-NumPy paths (still several stages per Python dispatch)
+   and :func:`traceback` to a Python loop.
 
 ``REPRO_KERNEL_BACKEND`` (``numba`` / ``cc`` / ``numpy``) pins the
 choice for tests and CI; an unavailable pinned backend resolves to
@@ -33,7 +35,9 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Backend", "get_backend", "reset_backend_cache"]
+from repro.semiring.tropical import NEG_INF
+
+__all__ = ["Backend", "get_backend", "reset_backend_cache", "traceback"]
 
 #: The block primitives, shared verbatim by the cc build and (as the
 #: reference semantics) the numba build.  Plain IEEE double arithmetic;
@@ -47,27 +51,50 @@ _C_SOURCE = r"""
 /* Viterbi stage-block: branch-major ACS.
    v0: (S,) input; M: (k, 2S) branch metrics; perm: (2S,) predecessor
    permutation; pred0: (S,) branch-0 predecessor states (branch 1 is
-   pred0+1, asserted at plan time).  out_s: (k, S); out_p: (k, S). */
-void viterbi_block(const double *v0, const double *M, const int64_t *perm,
-                   const int64_t *pred0, int64_t k, int64_t S,
-                   double *out_s, int64_t *out_p)
+   pred0+1, asserted at plan time).  out_s: (k, S); out_p: (k, S).
+   Returns the first row whose entries are all -inf, or -1. */
+int64_t viterbi_block(const double *v0, const double *M, const int64_t *perm,
+                      const int64_t *pred0, int64_t k, int64_t S,
+                      double *out_s, int64_t *out_p)
 {
     const double *vin = v0;
+    int64_t zero_row = -1;
     for (int64_t t = 0; t < k; t++) {
         const double *m = M + t * 2 * S;
         double *os = out_s + t * S;
         int64_t *op = out_p + t * S;
+        int64_t live = 0;
         for (int64_t s = 0; s < S; s++) {
             double c0 = vin[perm[s]] + m[s];
             double c1 = vin[perm[S + s]] + m[S + s];
             /* Branch-free select (compiled to a conditional move, so
                no mispredicts on noisy metrics); ties keep branch 0. */
             int64_t gt = c1 > c0;
-            os[s] = gt ? c1 : c0;
+            double best = gt ? c1 : c0;
+            os[s] = best;
             op[s] = pred0[s] + gt;
+            live |= best != -INFINITY;
         }
+        if (!live && zero_row < 0) zero_row = t;
         vin = os;
     }
+    return zero_row;
+}
+
+/* Traceback over a contiguous predecessor block P: (k, W).  Walks rows
+   k-1 .. 0 from index x (x = P[r][x]; out[r] = x).  With ref, stops at
+   the first row whose entry equals ref[r] and returns that row; returns
+   -1 after a full walk and -2 on an index outside the block. */
+int64_t traceback(const int64_t *P, int64_t k, int64_t W, int64_t x,
+                  const int64_t *ref, int64_t *out)
+{
+    for (int64_t r = k - 1; r >= 0; r--) {
+        if (x < 0 || x >= W) return -2;
+        x = P[r * W + x];
+        out[r] = x;
+        if (ref && ref[r] == x) return r;
+    }
+    return -1;
 }
 
 /* Banded alignment stage-block (LCS / NW, linear gaps).
@@ -127,10 +154,6 @@ void banded_block(const double *v0, int64_t k, int64_t Wmax,
 }
 """
 
-_F64 = ctypes.POINTER(ctypes.c_double)
-_I64 = ctypes.POINTER(ctypes.c_int64)
-
-
 @dataclass(frozen=True)
 class Backend:
     """Resolved block primitives; ``None`` entries mean pure-NumPy."""
@@ -138,53 +161,55 @@ class Backend:
     kind: str  # "numba" | "cc" | "numpy"
     viterbi_block: object = None
     banded_block: object = None
+    traceback: object = None
 
 
-def _f64p(a: np.ndarray):
-    return a.ctypes.data_as(_F64)
+def _ptr(a: np.ndarray | None) -> int | None:
+    """Data address for a ``c_void_p`` argument (``None`` is NULL).
 
-
-def _i64p(a: np.ndarray):
-    return a.ctypes.data_as(_I64)
+    A plain address instead of ``data_as``: the wrappers below keep
+    every array alive in a parameter or local for the whole call, and
+    the address costs a third of a typed pointer per argument.
+    """
+    return None if a is None else a.ctypes.data
 
 
 def _wrap_cc(lib: ctypes.CDLL) -> Backend:
+    P, I, D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     cvb = lib.viterbi_block
-    cvb.restype = None
-    cvb.argtypes = [_F64, _F64, _I64, _I64, ctypes.c_int64, ctypes.c_int64, _F64, _I64]
+    cvb.restype = I
+    cvb.argtypes = [P, P, P, P, I, I, P, P]
+    ctb = lib.traceback
+    ctb.restype = I
+    ctb.argtypes = [P, I, I, I, P, P]
     cbb = lib.banded_block
     cbb.restype = None
-    cbb.argtypes = [
-        _F64, ctypes.c_int64, ctypes.c_int64, _I64, _F64,
-        ctypes.c_double, ctypes.c_double, ctypes.c_double,
-        _F64, _I64, _F64, _I64, _F64, _I64, _F64, _I64,
-    ]
+    cbb.argtypes = [P, I, I, P, P, D, D, D, P, P, P, P, P, P, P, P]
 
     def viterbi_block(v0, M, perm, pred0, out_s, out_p):
         k, S = out_s.shape
-        cvb(_f64p(v0), _f64p(M), _i64p(perm), _i64p(pred0), k, S, _f64p(out_s), _i64p(out_p))
+        return cvb(_ptr(v0), _ptr(M), _ptr(perm), _ptr(pred0), k, S,
+                   _ptr(out_s), _ptr(out_p))
+
+    def traceback(P, x, out, ref):
+        k, W = P.shape
+        return ctb(_ptr(P), k, W, x, _ptr(ref), _ptr(out))
 
     def banded_block(v0, geom, MS, gu, g, neg_inf, out_s, out_p,
                      entry_out=None, epred_out=None, cm_out=None, estar_out=None):
         k, Wmax = out_s.shape
+        scratch_e = scratch_p = None
         if entry_out is None:
             scratch_e = np.empty(Wmax, dtype=np.float64)
             scratch_p = np.empty(Wmax, dtype=np.int64)
-        else:
-            scratch_e = scratch_p = None
-        null_f, null_i = ctypes.cast(None, _F64), ctypes.cast(None, _I64)
         cbb(
-            _f64p(v0), k, Wmax, _i64p(geom), _f64p(MS),
-            gu, g, neg_inf, _f64p(out_s), _i64p(out_p),
-            _f64p(entry_out) if entry_out is not None else null_f,
-            _i64p(epred_out) if epred_out is not None else null_i,
-            _f64p(cm_out) if cm_out is not None else null_f,
-            _i64p(estar_out) if estar_out is not None else null_i,
-            _f64p(scratch_e) if scratch_e is not None else null_f,
-            _i64p(scratch_p) if scratch_p is not None else null_i,
+            _ptr(v0), k, Wmax, _ptr(geom), _ptr(MS), gu, g, neg_inf,
+            _ptr(out_s), _ptr(out_p), _ptr(entry_out), _ptr(epred_out),
+            _ptr(cm_out), _ptr(estar_out), _ptr(scratch_e), _ptr(scratch_p),
         )
 
-    return Backend(kind="cc", viterbi_block=viterbi_block, banded_block=banded_block)
+    return Backend(kind="cc", viterbi_block=viterbi_block,
+                   banded_block=banded_block, traceback=traceback)
 
 
 def _cache_dir() -> Path:
@@ -231,14 +256,39 @@ def _try_numba() -> Backend | None:
         def viterbi_block(v0, M, perm, pred0, out_s, out_p):  # pragma: no cover - needs numba
             k, S = out_s.shape
             vin = v0
+            zero_row = -1
             for t in range(k):
+                live = False
                 for s in range(S):
                     c0 = vin[perm[s]] + M[t, s]
                     c1 = vin[perm[S + s]] + M[t, S + s]
                     gt = c1 > c0
-                    out_s[t, s] = c1 if gt else c0
+                    best = c1 if gt else c0
+                    out_s[t, s] = best
                     out_p[t, s] = pred0[s] + gt
+                    if best != NEG_INF:
+                        live = True
+                if not live and zero_row < 0:
+                    zero_row = t
                 vin = out_s[t]
+            return zero_row
+
+        @numba.njit(cache=False)
+        def _traceback_core(P, x, out, ref, has_ref):  # pragma: no cover - needs numba
+            k, W = P.shape
+            for r in range(k - 1, -1, -1):
+                if x < 0 or x >= W:
+                    return -2
+                x = P[r, x]
+                out[r] = x
+                if has_ref and ref[r] == x:
+                    return r
+            return -1
+
+        def traceback(P, x, out, ref):  # pragma: no cover - needs numba
+            if ref is None:
+                return _traceback_core(P, x, out, out, False)
+            return _traceback_core(P, x, out, ref, True)
 
         @numba.njit(cache=False, fastmath=False)
         def _banded_core(v0, geom, MS, gu, g, neg_inf, out_s, out_p,
@@ -295,7 +345,9 @@ def _try_numba() -> Backend | None:
         _v = np.zeros(1)
         viterbi_block(_v, np.zeros((1, 2)), np.zeros(2, np.int64),
                       np.zeros(1, np.int64), np.zeros((1, 1)), np.zeros((1, 1), np.int64))
-        return Backend(kind="numba", viterbi_block=viterbi_block, banded_block=banded_block)
+        traceback(np.zeros((1, 1), np.int64), 0, np.zeros(1, np.int64), None)
+        return Backend(kind="numba", viterbi_block=viterbi_block,
+                       banded_block=banded_block, traceback=traceback)
     except Exception:
         return None
 
@@ -303,11 +355,42 @@ def _try_numba() -> Backend | None:
 _NUMPY = Backend(kind="numpy")
 _RESOLVED: list = []  # one-slot memo; avoids `global` for REP003
 
+#: glibc ``mallopt`` parameters, and the thresholds the tier sets (bytes).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
+
+
+def _keep_freed_heap() -> None:
+    """Let this process reuse the heap it frees between sweeps.
+
+    Every sweep allocates its output block (a 1,544-stage, 256-state
+    Viterbi sweep is two 3.2 MB arrays, a 386-stage range two 790 KB
+    ones) and frees it when the answer or the pool session is dropped.
+    With glibc's default, dynamically adjusted thresholds the freed top
+    of the heap goes back to the OS and the next sweep faults every
+    page in again (about 1,500 minor faults per in-process solve of a
+    viterbi-decode packet, 840 per pooled solve in a worker).  Raising
+    the mmap and trim thresholds once per process keeps those pages.
+    A no-op where the C library has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
 
 def get_backend() -> Backend:
-    """The process-wide resolved backend (memoized after first call)."""
+    """The process-wide resolved backend (memoized after first call).
+
+    The first call also sets this process's allocator thresholds for
+    the tier's block-sized allocations (:func:`_keep_freed_heap`).
+    """
     if _RESOLVED:
         return _RESOLVED[0]
+    _keep_freed_heap()
     forced = os.environ.get("REPRO_KERNEL_BACKEND", "").strip().lower()
     if forced == "numpy":
         backend = _NUMPY
@@ -323,6 +406,36 @@ def get_backend() -> Backend:
         backend = _try_numba() or _try_cc() or _NUMPY
     _RESOLVED.append(backend)
     return backend
+
+
+def _traceback_loop(P, x, out, ref) -> int:
+    """The NumPy backend's traceback: the same walk, one row per step."""
+    W = P.shape[1]
+    for r in range(len(P) - 1, -1, -1):
+        if not 0 <= x < W:
+            return -2
+        x = int(P[r, x])
+        out[r] = x
+        if ref is not None and ref[r] == x:
+            return r
+    return -1
+
+
+def traceback(P: np.ndarray, x: int, out: np.ndarray, ref: np.ndarray | None = None) -> int | None:
+    """Walk predecessor block ``P`` (``(k, W)`` int64) from index ``x``.
+
+    For ``r = k-1 .. 0``: ``x = P[r, x]``, ``out[r] = x``.  With ``ref``
+    (the stored path entries of the same rows) the walk stops at the
+    first row whose entry equals ``ref[r]`` and returns that row;
+    otherwise (or when no entry matches) it returns ``None``.  Raises
+    ``IndexError`` when an index falls outside the block.
+    """
+    P = np.ascontiguousarray(P, dtype=np.int64)
+    fn = get_backend().traceback or _traceback_loop
+    stop = fn(P, int(x), out, ref)
+    if stop == -2:
+        raise IndexError(f"traceback index outside a {P.shape} predecessor block")
+    return None if stop < 0 else int(stop)
 
 
 def reset_backend_cache() -> None:

@@ -18,6 +18,7 @@ dense path.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,65 @@ class BandedPlan:
     integral: bool  # scores and gaps integral: pricing sums are order-free
 
 
+@dataclass(frozen=True)
+class _BandGeometry:
+    """The content-free part of a banded plan, shared by every problem
+    of one ``(n, m, width)`` shape (read-only arrays)."""
+
+    geom: np.ndarray  # (n, 8) int64: W, u0, u1, us0, d0, d1, vs0, pad
+    los: np.ndarray  # (n + 1,) int64 band lower bound per row
+    widths: np.ndarray  # (n + 1,) int64 band width per row
+    Wmax: int
+    valid: np.ndarray  # (n, Wmax) bool: diagonal-move cells of each row
+    bcol: np.ndarray  # (n, Wmax) int64: index into b of each cell's symbol
+
+
+_GEOMETRY_CACHE: OrderedDict = OrderedDict()
+_GEOMETRY_CACHE_MAX = 32
+
+
+def _band_geometry(n: int, m: int, width: int) -> _BandGeometry:
+    """Band geometry of an ``n x m`` table at ``width``, cached by shape.
+
+    The plan cache is keyed by content, so every fresh or near-duplicate
+    request would rebuild this; it depends only on the shape.
+    """
+    key = (n, m, width)
+    hit = _GEOMETRY_CACHE.get(key)
+    if hit is not None:
+        _GEOMETRY_CACHE.move_to_end(key)
+        return hit
+    rows = np.arange(n + 1)
+    los = np.maximum(0, rows - width).astype(np.int64)
+    his = np.minimum(m, rows + width).astype(np.int64)
+    widths = his - los + 1
+    lo, hi, lo_p, hi_p = los[1:], his[1:], los[:-1], his[:-1]
+    s = np.maximum(lo, lo_p)
+    e = np.minimum(hi, hi_p)
+    ds = np.maximum(np.maximum(lo, lo_p + 1), 1)
+    de = np.minimum(hi, hi_p + 1)
+    geom = np.zeros((n, 8), dtype=np.int64)
+    geom[:, 0] = widths[1:]
+    geom[:, 1] = s - lo
+    geom[:, 2] = e - lo + 1
+    geom[:, 3] = s - lo_p
+    geom[:, 4] = ds - lo
+    geom[:, 5] = de - lo + 1
+    geom[:, 6] = ds - 1 - lo_p
+    Wmax = int(widths.max())
+    jj = np.arange(Wmax)
+    col_mat = lo[:, None] + jj[None, :]
+    valid = (jj[None, :] >= geom[:, 4:5]) & (jj[None, :] < geom[:, 5:6])
+    bcol = np.clip(col_mat - 1, 0, m - 1)
+    for a in (geom, los, widths, valid, bcol):
+        a.flags.writeable = False
+    hit = _BandGeometry(geom, los, widths, Wmax, valid, bcol)
+    _GEOMETRY_CACHE[key] = hit
+    if len(_GEOMETRY_CACHE) > _GEOMETRY_CACHE_MAX:
+        _GEOMETRY_CACHE.popitem(last=False)
+    return hit
+
+
 class BandedBlockKernel(StageBlockKernel):
     name = "banded-block"
     bit_identity_gate = (
@@ -67,8 +127,8 @@ class BandedBlockKernel(StageBlockKernel):
             int(problem.width),
             problem.a.tobytes(),
             problem.b.tobytes(),
-            str(problem.a.dtype),
-            str(problem.b.dtype),
+            problem.a.dtype.str,
+            problem.b.dtype.str,
         ]
         scoring = getattr(problem, "scoring", None)
         if scoring is not None:
@@ -97,32 +157,13 @@ class BandedBlockKernel(StageBlockKernel):
         n, m, width = problem._n, problem._m, problem.width
         if n < 1 or m < 1:
             return None
-        rows = np.arange(n + 1)
-        los = np.maximum(0, rows - width).astype(np.int64)
-        his = np.minimum(m, rows + width).astype(np.int64)
-        widths = his - los + 1
-        lo, hi, lo_p, hi_p = los[1:], his[1:], los[:-1], his[:-1]
-        s = np.maximum(lo, lo_p)
-        e = np.minimum(hi, hi_p)
-        ds = np.maximum(np.maximum(lo, lo_p + 1), 1)
-        de = np.minimum(hi, hi_p + 1)
-        geom = np.zeros((n, 8), dtype=np.int64)
-        geom[:, 0] = widths[1:]
-        geom[:, 1] = s - lo
-        geom[:, 2] = e - lo + 1
-        geom[:, 3] = s - lo_p
-        geom[:, 4] = ds - lo
-        geom[:, 5] = de - lo + 1
-        geom[:, 6] = ds - 1 - lo_p
-        Wmax = int(widths.max())
-        jj = np.arange(Wmax)
-        col_mat = lo[:, None] + jj[None, :]
-        valid = (jj[None, :] >= geom[:, 4:5]) & (jj[None, :] < geom[:, 5:6])
-        bsym = problem.b[np.clip(col_mat - 1, 0, m - 1)]
+        band = _band_geometry(n, m, width)
+        geom, los, widths, Wmax = band.geom, band.los, band.widths, band.Wmax
+        bsym = problem.b[band.bcol]
         scores = self._score_plane(problem, bsym)
         if scores is None:
             return None
-        MS = np.ascontiguousarray(np.where(valid, scores, 0.0), dtype=np.float64)
+        MS = np.ascontiguousarray(np.where(band.valid, scores, 0.0), dtype=np.float64)
         # Spot-check the plane against the dense scoring on the first and
         # last rows (the registry re-verifies the first dispatched stage
         # per call; this catches plan-layout bugs early and cheaply).
@@ -170,9 +211,12 @@ class BandedBlockKernel(StageBlockKernel):
         if v.shape != (int(plan.widths[lo]),) or v.dtype != np.float64:
             return None
         k = min(hi, plan.n) - lo
+        tail = 1 if hi > plan.n else 0
         Wmax = plan.Wmax
-        out_s = np.zeros((k, Wmax), dtype=np.float64)
-        out_p = np.zeros((k, Wmax), dtype=np.int64)
+        # Padding past each row's width stays -inf, so "every entry is
+        # -inf" is one pass over the block.
+        out_s = np.full((k + tail, Wmax), NEG_INF, dtype=np.float64)
+        out_p = np.zeros((k + tail, Wmax), dtype=np.int64)
         entry_pl = epred_pl = cm_pl = estar_pl = None
         if capture_state:
             entry_pl = np.zeros((k, Wmax), dtype=np.float64)
@@ -185,24 +229,32 @@ class BandedBlockKernel(StageBlockKernel):
         if backend.banded_block is not None:
             backend.banded_block(
                 np.ascontiguousarray(v), geom, MS, plan.gu, plan.g, NEG_INF,
-                out_s, out_p, entry_pl, epred_pl, cm_pl, estar_pl,
+                out_s[:k], out_p[:k], entry_pl, epred_pl, cm_pl, estar_pl,
             )
         else:
             self._run_numpy(
-                plan, geom, MS, v, out_s, out_p, entry_pl, epred_pl, cm_pl, estar_pl
+                plan, geom, MS, v, out_s[:k], out_p[:k],
+                entry_pl, epred_pl, cm_pl, estar_pl,
             )
-        widths_out = plan.widths[lo + 1 : lo + 1 + k]
-        neg = np.count_nonzero(np.isneginf(out_s), axis=1)
-        zero_rows = np.flatnonzero(neg >= widths_out)
+        widths = plan.widths[lo + 1 : lo + 1 + k]
+        if tail:
+            widths = np.append(widths, 1)  # the width-1 selector stage
+        zero_rows = np.flatnonzero(np.isneginf(out_s[:k]).all(axis=1))
         zero_index = int(zero_rows[0]) if zero_rows.size else None
-        values = [out_s[r, : widths_out[r]] for r in range(k)]
-        preds = [out_p[r, : widths_out[r]] for r in range(k)]
-        states = None
+        sweep = BlockSweep(
+            values=out_s,
+            preds=out_p,
+            widths=widths,
+            states=None,
+            costs=plan.costs[lo : lo + k],
+            zero_index=zero_index,
+            dense_tail=tail,
+        )
         if capture_state:
             states = []
             vin = v
             for r in range(k):
-                W = int(widths_out[r])
+                W = int(widths[r])
                 states.append(
                     BandedStageState(
                         in_vec=vin,
@@ -210,32 +262,26 @@ class BandedBlockKernel(StageBlockKernel):
                         epred=epred_pl[r, :W],
                         cm=cm_pl[r, :W],
                         estar=estar_pl[r, :W],
-                        out=values[r],
-                        pred=preds[r],
+                        out=sweep.value(r),
+                        pred=sweep.pred(r),
                     )
                 )
-                vin = values[r]
-        costs = plan.costs[lo : lo + k]
-        if hi > plan.n:
+                vin = sweep.value(r)
+            sweep.states = states
+        if tail:
             # Width-1 selector stage: dense (and its sentinel state).
+            last = sweep.value(k - 1)
             if capture_state:
-                tv, tp, ts = problem.apply_stage_with_state(plan.n + 1, values[-1])
-                states.append(ts)
+                tv, tp, ts = problem.apply_stage_with_state(plan.n + 1, last)
+                sweep.states.append(ts)
             else:
-                tv, tp = problem.apply_stage_with_pred(plan.n + 1, values[-1])
-            values.append(tv)
-            preds.append(tp)
-            costs = np.concatenate([costs, plan.costs[-1:]])
+                tv, tp = problem.apply_stage_with_pred(plan.n + 1, last)
+            out_s[k, :1] = tv
+            out_p[k, :1] = tp
+            sweep.costs = np.concatenate([sweep.costs, plan.costs[-1:]])
             if zero_index is None and np.all(np.isneginf(tv)):
-                zero_index = k
-        return BlockSweep(
-            values=values,
-            preds=preds,
-            states=states,
-            costs=costs,
-            zero_index=zero_index,
-            dense_tail=len(values) - k,
-        )
+                sweep.zero_index = k
+        return sweep
 
     @staticmethod
     def _run_numpy(plan, geom, MS, v, out_s, out_p, entry_pl, epred_pl, cm_pl, estar_pl):

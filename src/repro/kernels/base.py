@@ -34,27 +34,48 @@ __all__ = ["BlockSweep", "StageBlockKernel"]
 class BlockSweep:
     """One kernel dispatch's output: stages ``lo+1 .. hi`` of a sweep.
 
-    Entry ``r`` of each list describes stage ``lo + 1 + r``.  ``values``
-    / ``preds`` rows may be views into one contiguous block allocation;
-    the engine treats stage vectors as immutable, so sharing is safe.
+    Row ``r`` of ``values`` / ``preds`` is stage ``lo + 1 + r``, one
+    contiguous ``(k, W)`` allocation each.  Where stage widths differ
+    (banded stages near the band edges, a width-1 selector stage)
+    ``widths[r]`` is row ``r``'s width and the rest of the row is
+    padding; :meth:`value` / :meth:`pred` return the trimmed views.  The
+    engine treats stage vectors as immutable, so sharing the block is
+    safe.
     """
 
-    #: Per-stage output vectors (stage width each, float64).
-    values: list
-    #: Per-stage predecessor vectors (int64).
-    preds: list
+    #: ``(k, W)`` float64 stage vectors.
+    values: np.ndarray
+    #: ``(k, W)`` int64 predecessor vectors.
+    preds: np.ndarray
+    #: Per-row widths (int64), or ``None`` when every row spans ``W``.
+    widths: np.ndarray | None
     #: Per-stage §4.7 kernel states (``None`` unless capture was requested).
     states: list | None
     #: Per-stage modeled work, identical to ``problem.stage_cost(i)``.
     costs: np.ndarray
     #: Offset of the first all-0̄ stage in the block (``None`` if none) —
-    #: hoisted out of the per-stage loop so the spec can raise the same
+    #: found by the kernel itself so the spec can raise the same
     #: ZeroVectorError the dense path would, without a per-stage scan.
     zero_index: int | None
     #: Trailing stages computed by the problem's own dense per-stage
     #: method (the width-1 selector), which the registry's last-stage
     #: gate skips: its target is the last *kernel-computed* stage.
     dense_tail: int = 0
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def value(self, r: int) -> np.ndarray:
+        """Stage ``lo + 1 + r``'s vector (a view, trimmed to its width)."""
+        if self.widths is None:
+            return self.values[r]
+        return self.values[r, : self.widths[r]]
+
+    def pred(self, r: int) -> np.ndarray:
+        """Stage ``lo + 1 + r``'s predecessors (a view, trimmed)."""
+        if self.widths is None:
+            return self.preds[r]
+        return self.preds[r, : self.widths[r]]
 
 
 class StageBlockKernel:

@@ -27,6 +27,7 @@ import numpy as np
 from repro.kernels.base import BlockSweep, StageBlockKernel
 from repro.problems.alignment.banded import BandedStageState
 from repro.problems.alignment.bitparallel import build_match_masks
+from repro.semiring.tropical import NEG_INF
 
 __all__ = ["BitParallelLCSKernel"]
 
@@ -60,13 +61,17 @@ class BitParallelLCSKernel(StageBlockKernel):
     )
 
     def fingerprint(self, problem) -> tuple:
+        if problem.width < max(problem._n, problem._m):
+            # plan() turns every clipped band down whatever the content,
+            # so such problems share one (ineligible) cache entry.
+            return (type(problem).__name__, "band-clips")
         return (
             type(problem).__name__,
             int(problem.width),
             problem.a.tobytes(),
             problem.b.tobytes(),
-            str(problem.a.dtype),
-            str(problem.b.dtype),
+            problem.a.dtype.str,
+            problem.b.dtype.str,
         )
 
     def plan(self, problem):
@@ -165,13 +170,22 @@ class BitParallelLCSKernel(StageBlockKernel):
         vals = cm - 0.0 * idx
         if vals.tobytes() != decoded.tobytes():
             return None  # bit sweep and dense replay disagree: fall back
-        preds = np.take_along_axis(epred, estar, axis=1)
-
-        values = list(vals)
-        pred_list = list(preds)
-        states = None
+        tail = 1 if hi > plan.n else 0
+        values = np.empty((k + tail, m + 1), dtype=np.float64)
+        preds = np.empty((k + tail, m + 1), dtype=np.int64)
+        values[:k] = vals
+        preds[:k] = np.take_along_axis(epred, estar, axis=1)
+        sweep = BlockSweep(
+            values=values,
+            preds=preds,
+            widths=None,
+            states=None,
+            costs=plan.costs[lo : lo + k],
+            zero_index=None,  # every row is finite by the diff gate
+            dense_tail=tail,
+        )
         if capture_state:
-            states = [
+            sweep.states = [
                 BandedStageState(
                     in_vec=vin_rows[r],
                     entry=entry[r],
@@ -179,31 +193,26 @@ class BitParallelLCSKernel(StageBlockKernel):
                     cm=cm[r],
                     estar=estar[r],
                     out=values[r],
-                    pred=pred_list[r],
+                    pred=preds[r],
                 )
                 for r in range(k)
             ]
-        costs = plan.costs[lo : lo + k]
-        zero_index = None  # every row is finite by the diff gate
-        if hi > plan.n:
+        if tail:
             if capture_state:
-                tv, tp, ts = problem.apply_stage_with_state(plan.n + 1, values[-1])
-                states.append(ts)
+                tv, tp, ts = problem.apply_stage_with_state(plan.n + 1, values[k - 1])
+                sweep.states.append(ts)
             else:
-                tv, tp = problem.apply_stage_with_pred(plan.n + 1, values[-1])
-            values.append(tv)
-            pred_list.append(tp)
-            costs = np.concatenate([costs, plan.costs[-1:]])
+                tv, tp = problem.apply_stage_with_pred(plan.n + 1, values[k - 1])
+            values[k, :1] = tv
+            values[k, 1:] = NEG_INF
+            preds[k, :1] = tp
+            preds[k, 1:] = 0
+            sweep.widths = np.full(k + 1, m + 1, dtype=np.int64)
+            sweep.widths[k] = 1
+            sweep.costs = np.concatenate([sweep.costs, plan.costs[-1:]])
             if np.all(np.isneginf(tv)):
-                zero_index = k
-        return BlockSweep(
-            values=values,
-            preds=pred_list,
-            states=states,
-            costs=costs,
-            zero_index=zero_index,
-            dense_tail=len(values) - k,
-        )
+                sweep.zero_index = k
+        return sweep
 
     def price(self, problem, plan, path):
         # The banded kernel (registered alongside this one) owns pricing.

@@ -106,8 +106,8 @@ def _stage_matches(problem, i, v, sweep, r, capture_state) -> bool:
             ds = None
     except Exception:
         return False  # dense path owns raising this properly, in context
-    kv = np.asarray(sweep.values[r])
-    kp = np.asarray(sweep.preds[r])
+    kv = sweep.value(r)
+    kp = sweep.pred(r)
     if kv.shape != dv.shape or kv.tobytes() != dv.tobytes():
         return False
     if not np.array_equal(kp, dp):
@@ -136,13 +136,13 @@ def _sweep_matches(problem, lo, hi, v, sweep, capture_state) -> bool:
     previous row (the first from ``v``)."""
     if not _stage_matches(problem, lo + 1, v, sweep, 0, capture_state):
         return False
-    last = len(sweep.values) - 1 - sweep.dense_tail
+    last = len(sweep) - 1 - sweep.dense_tail
     if last < 1:
         return True
     rows = (_spot_row(lo, hi, last), last) if last > 1 else (last,)
     return all(
         _stage_matches(
-            problem, lo + 1 + r, sweep.values[r - 1], sweep, r, capture_state
+            problem, lo + 1 + r, sweep.value(r - 1), sweep, r, capture_state
         )
         for r in rows
     )
@@ -183,7 +183,7 @@ def block_sweep(problem, lo: int, hi: int, v, *, capture_state: bool = False) ->
             sweep = kernel.run(problem, plan, lo, hi, v, capture_state=capture_state)
         except Exception:
             sweep = None
-        if sweep is None or not sweep.values:
+        if sweep is None or not len(sweep):
             continue
         if _sweep_matches(problem, lo, hi, v, sweep, capture_state):
             return sweep

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.kernels.backend import get_backend
 from repro.kernels.base import BlockSweep, StageBlockKernel
+from repro.semiring.tropical import NEG_INF
 
 __all__ = ["ViterbiBlockKernel"]
 
@@ -78,33 +79,29 @@ class ViterbiBlockKernel(StageBlockKernel):
         num_stages = int(problem.num_stages)
         if n_sym < 1:
             return None
-        M = np.empty((n_sym, 2 * S), dtype=np.float64)
         llrs = getattr(problem, "_llrs", None)
         if llrs is not None:
             # Soft metrics: reuse the dense per-stage matmul verbatim so
             # float summation order inside each metric is untouched.
+            M = np.empty((n_sym, 2 * S), dtype=np.float64)
             for i in range(1, n_sym + 1):
                 bm = problem._branch_metrics(i)
                 M[i - 1, :S] = bm[:, 0]
                 M[i - 1, S:] = bm[:, 1]
+            table = M
         else:
-            out = problem._out  # (S, 2, rate) uint8
-            sym = problem._symbols  # (n, rate)
-            agree = out[None, :, :, :] == sym[:, None, None, :]
-            mask = getattr(problem, "_mask", None)
-            if mask is not None:
-                agree = agree & mask[:, None, None, :]
-            bm = agree.sum(axis=3, dtype=np.float64)  # (n, S, 2)
-            M[:, :S] = bm[:, :, 0]
-            M[:, S:] = bm[:, :, 1]
+            table, codes = self._symbol_table(problem)
+            M = table[codes]
         costs = np.full(num_stages, 2.0 * S, dtype=np.float64)
         if num_stages > n_sym:
             costs[-1] = float(S)
         # Spot-check the modeled work against the problem's own accounting.
         if costs[0] != problem.stage_cost(1) or costs[-1] != problem.stage_cost(num_stages):
             return None
+        # Every row of M is a row of the table (and vice versa).
         integral = bool(
-            np.all(M == np.floor(M)) and np.all(np.abs(M) < _EXACT_SUM_BOUND)
+            np.all(table == np.floor(table))
+            and np.all(np.abs(table) < _EXACT_SUM_BOUND)
         )
         perm = np.concatenate([pred0, pred0 + 1]).astype(np.int64)
         return ViterbiPlan(
@@ -114,10 +111,43 @@ class ViterbiBlockKernel(StageBlockKernel):
             terminated=bool(problem.terminated),
             perm=perm,
             pred0=pred0,
-            M=np.ascontiguousarray(M),
+            M=M,
             costs=costs,
             integral=integral,
         )
+
+    @staticmethod
+    def _symbol_table(problem) -> tuple[np.ndarray, np.ndarray]:
+        """Hard-decision branch metrics per distinct received symbol.
+
+        A stage's metrics depend only on its received symbol (and, for
+        punctured codes, its erasure mask), so the agreement counts are
+        computed once per distinct ``(symbol, mask)`` code — at most
+        ``2**rate`` rows per mask pattern — as a ``(u, 2S)`` branch-major
+        table, and ``M`` is that table gathered by each stage's code.
+        Each entry is the same float64 sum of the same agreements the
+        per-stage formula adds, so ``M`` is bit-identical to it.
+        """
+        out = problem._out  # (S, 2, rate) uint8
+        sym = problem._symbols  # (n, rate)
+        rate = sym.shape[1]
+        weights = np.left_shift(1, np.arange(rate, dtype=np.int64))
+        key = sym.astype(np.int64) @ weights
+        mask = getattr(problem, "_mask", None)
+        if mask is not None:
+            key += (mask.astype(np.int64) @ weights) << rate
+        uniq, codes = np.unique(key, return_inverse=True)
+        u_sym = ((uniq[:, None] >> np.arange(rate)) & 1).astype(sym.dtype)
+        agree = out[None, :, :, :] == u_sym[:, None, None, :]
+        if mask is not None:
+            u_mask = ((uniq[:, None] >> (rate + np.arange(rate))) & 1).astype(bool)
+            agree = agree & u_mask[:, None, None, :]
+        bm = agree.sum(axis=3, dtype=np.float64)  # (u, S, 2)
+        S = out.shape[0]
+        table = np.empty((uniq.size, 2 * S), dtype=np.float64)
+        table[:, :S] = bm[:, :, 0]
+        table[:, S:] = bm[:, :, 1]
+        return table, codes.reshape(-1)
 
     def run(self, problem, plan, lo, hi, v, *, capture_state=False):
         if capture_state:
@@ -128,43 +158,48 @@ class ViterbiBlockKernel(StageBlockKernel):
         if v.shape != (plan.S,) or v.dtype != np.float64:
             return None
         k = min(hi, plan.n_sym) - lo
-        out_s = np.empty((k, plan.S), dtype=np.float64)
-        out_p = np.empty((k, plan.S), dtype=np.int64)
+        tail = 1 if hi > plan.n_sym else 0
+        # One allocation for the whole block, selector row included.
+        out_s = np.empty((k + tail, plan.S), dtype=np.float64)
+        out_p = np.empty((k + tail, plan.S), dtype=np.int64)
         backend = get_backend()
         M = plan.M[lo : lo + k]
         if backend.viterbi_block is not None:
-            backend.viterbi_block(
-                np.ascontiguousarray(v), M, plan.perm, plan.pred0, out_s, out_p
+            zero = backend.viterbi_block(
+                np.ascontiguousarray(v), M, plan.perm, plan.pred0, out_s[:k], out_p[:k]
             )
         else:
-            self._run_numpy(plan, M, v, out_s, out_p)
-        neg = np.count_nonzero(np.isneginf(out_s), axis=1)
-        zero_rows = np.flatnonzero(neg >= plan.S)
-        zero_index = int(zero_rows[0]) if zero_rows.size else None
-        values = list(out_s)
-        preds = list(out_p)
+            zero = self._run_numpy(plan, M, v, out_s[:k], out_p[:k])
+        zero_index = None if zero < 0 else int(zero)
         costs = plan.costs[lo : lo + k]
-        if hi > plan.n_sym:
+        widths = None
+        if tail:
             # Width-1 selector stage of unterminated packets: dense.
-            tv, tp = problem.apply_stage_with_pred(plan.num_stages, values[-1])
-            values.append(tv)
-            preds.append(tp)
+            tv, tp = problem.apply_stage_with_pred(plan.num_stages, out_s[k - 1])
+            out_s[k, :1] = tv
+            out_p[k, :1] = tp
+            out_s[k, 1:] = NEG_INF
+            out_p[k, 1:] = 0
+            widths = np.full(k + 1, plan.S, dtype=np.int64)
+            widths[k] = 1
             costs = np.concatenate([costs, plan.costs[-1:]])
             if zero_index is None and np.all(np.isneginf(tv)):
                 zero_index = k
         return BlockSweep(
-            values=values,
-            preds=preds,
+            values=out_s,
+            preds=out_p,
+            widths=widths,
             states=None,
             costs=costs,
             zero_index=zero_index,
-            dense_tail=len(values) - k,
+            dense_tail=tail,
         )
 
     @staticmethod
-    def _run_numpy(plan, M, v, out_s, out_p):
+    def _run_numpy(plan, M, v, out_s, out_p) -> int:
         """Blocked pure-NumPy path: 3 array ops per stage + one
-        vectorized predecessor post-pass over the whole block."""
+        vectorized predecessor post-pass over the whole block.  Returns
+        the first all-0̄ row (``-1`` if none), like the compiled kernels."""
         k, S = out_s.shape
         buf = np.empty(2 * S, dtype=np.float64)
         c0, c1 = buf[:S], buf[S:]
@@ -179,6 +214,8 @@ class ViterbiBlockKernel(StageBlockKernel):
         cand = vin_rows[:, plan.perm] + M
         choice = cand[:, S:] > cand[:, :S]
         np.add(plan.pred0[None, :], choice, out=out_p)
+        zero = np.flatnonzero(np.isneginf(out_s).all(axis=1))
+        return int(zero[0]) if zero.size else -1
 
     def price(self, problem, plan, path):
         if not plan.integral:

@@ -29,6 +29,12 @@ from repro.machine.metrics import CommEvent, RunMetrics, SuperstepRecord
 __all__ = ["objective_phase", "backward_parallel_phase", "backward_serial_phase"]
 
 
+def _apply_segment(path: np.ndarray, result) -> None:
+    """Install a backward spec's path entries: one slice assignment."""
+    start, entries = result.path_segment
+    path[start : start + len(entries)] = entries
+
+
 def objective_phase(
     problem: LTDPProblem,
     ranges: Sequence[StageRange],
@@ -132,8 +138,7 @@ def backward_parallel_phase(
     results = runtime.run(specs, label="backward")
     wall = time.perf_counter() - t0
     for result in results:
-        for idx, val in result.path_updates.items():
-            path[idx] = val
+        _apply_segment(path, result)
     metrics.record(
         SuperstepRecord(
             label="backward",
@@ -194,8 +199,7 @@ def backward_parallel_phase(
         work_row = [0.0] * total_procs  # non-dispatched processors idle
         all_conv = True
         for result in results:
-            for idx, val in result.path_updates.items():
-                path[idx] = val
+            _apply_segment(path, result)
             work_row[result.proc - 1] = result.work
             last_bconv[result.proc] = result.converged
             all_conv &= result.converged

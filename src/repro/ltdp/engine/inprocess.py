@@ -88,8 +88,8 @@ class SequentialAnswer:
 
             sweep = block_sweep(problem, start, n, self.vectors[start])
             if sweep is not None and sweep.zero_index is None:
-                self.vectors[start + 1 :] = sweep.values
-                self.preds[start + 1 :] = sweep.preds
+                self.vectors[start + 1 :] = [sweep.value(r) for r in range(len(sweep))]
+                self.preds[start + 1 :] = [sweep.pred(r) for r in range(len(sweep))]
                 self.swept_cells = float(sweep.costs.sum())
                 return None
         _, preds, vectors, best = forward_sequential(

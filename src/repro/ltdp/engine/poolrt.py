@@ -59,7 +59,7 @@ from repro.exceptions import ExecutorError
 from repro.ltdp.engine.program import Instruction, InstructionProgram
 from repro.ltdp.engine.runner import DeliveryPolicy, RunnerCrew
 from repro.ltdp.engine.runtime import SuperstepRuntime, _wants_crew
-from repro.ltdp.engine.specs import SpecResult, SuperstepSpec
+from repro.ltdp.engine.specs import SpecResult, StageBlock, SuperstepSpec
 from repro.ltdp.engine.store import WorkerStore
 from repro.ltdp.partition import StageRange
 from repro.ltdp.problem import LTDPProblem
@@ -141,16 +141,18 @@ def _w_run_instr(ns, key: str, seq: int, spec: SuperstepSpec) -> SpecResult:
     return stripped
 
 
-def _w_collect(ns, key: str, slot: int, kind: str, stages: list[int]):
-    """Ship the requested resident vectors back to the driver."""
+def _w_collect(ns, key: str, slot: int, kind: str, a: int, b: int) -> list[StageBlock]:
+    """Ship the slot's resident ``s`` / ``pred`` blocks of stages
+    ``a .. b - 1`` back to the driver (views; pickling copies only them)."""
     store = ns["sessions"][key]["states"][slot]
-    source = store.s if kind == "s" else store.pred
-    return {i: source[i] for i in stages if i in source}
+    return (store.s if kind == "s" else store.pred).blocks(a, b)
 
 
-def _w_install_pred(ns, key: str, slot: int, mapping: dict[int, np.ndarray]) -> None:
-    """Merge redistributed predecessor vectors into a slot's store."""
-    ns["sessions"][key]["states"][slot].pred.update(mapping)
+def _w_install_pred(ns, key: str, slot: int, blocks: list[StageBlock]) -> None:
+    """Adopt redistributed predecessor blocks into a slot's store."""
+    pred = ns["sessions"][key]["states"][slot].pred
+    for block in blocks:
+        pred.put(block)
 
 
 # ----------------------------------------------------------------------
@@ -314,55 +316,45 @@ class PoolRuntime(SuperstepRuntime):
         the backward supersteps start.
         """
         own = {rg.proc: rg for rg in forward_ranges}
-        if all(
-            rg.proc in own and own[rg.proc].lo <= rg.lo and rg.hi <= own[rg.proc].hi
-            for rg in backward_ranges
-        ):
-            return  # every backward range lies inside its slot's forward range
-        owner_of: dict[int, int] = {}
-        owned: dict[int, set[int]] = {}
-        for rg in forward_ranges:
-            stages = set(rg.stages())
-            owned[rg.proc] = stages
-            for i in stages:
-                owner_of[i] = rg.proc
-        needs: dict[int, list[int]] = {}
+        # Per backward slot, the stage runs outside its forward range
+        # (at most one below and one above it), split by forward owner.
+        fetch: list[tuple[int, int, int, int]] = []  # (slot, owner, a, b)
         for rg in backward_ranges:
-            missing = sorted(set(rg.stages()) - owned.get(rg.proc, set()))
-            if missing:
-                needs[rg.proc] = missing
-        if not needs:
-            return
-        key = self.session_key
-        # Gather each missing stage from its forward owner...
-        fetch: dict[int, list[int]] = {}
-        for stages in needs.values():
-            for i in stages:
-                fetch.setdefault(owner_of[i], []).append(i)
-        gathered: dict[int, np.ndarray] = {}
-        for chunk in self.pool.call_slots(
-            [
-                (owner, _w_collect, (key, owner, "pred", stages))
-                for owner, stages in fetch.items()
+            mine = own.get(rg.proc)
+            gaps = [(rg.lo + 1, rg.hi + 1)] if mine is None else [
+                (rg.lo + 1, min(rg.hi, mine.lo) + 1),
+                (max(rg.lo, mine.hi) + 1, rg.hi + 1),
             ]
-        ):
-            gathered.update(chunk)
+            for a, b in gaps:
+                for fr in forward_ranges:
+                    lo, hi = max(a, fr.lo + 1), min(b, fr.hi + 1)
+                    if lo < hi:
+                        fetch.append((rg.proc, fr.proc, lo, hi))
+        if not fetch:
+            return  # every backward range lies inside its slot's forward range
+        key = self.session_key
+        # Gather each missing run from its forward owner...
+        gathered = self.pool.call_slots(
+            [
+                (owner, _w_collect, (key, owner, "pred", a, b))
+                for _, owner, a, b in fetch
+            ]
+        )
+        installs: dict[int, list[StageBlock]] = {}
+        for (slot, _, _, _), blocks in zip(fetch, gathered):
+            installs.setdefault(slot, []).extend(blocks)
         # ...and install it on the slot whose backward range needs it.
-        installs = {
-            slot: {i: gathered[i] for i in stages}
-            for slot, stages in needs.items()
-        }
         self.pool.call_slots(
             [
-                (slot, _w_install_pred, (key, slot, mapping))
-                for slot, mapping in installs.items()
+                (slot, _w_install_pred, (key, slot, blocks))
+                for slot, blocks in installs.items()
             ]
         )
         # Journal the installs (driver-mediated, already barriered):
         # recorded immediately so crash recovery replays them in slot
         # order between the forward and backward instruction suffixes.
-        for slot, mapping in installs.items():
-            instr = self.program.add_install(slot, mapping)
+        for slot, blocks in installs.items():
+            instr = self.program.add_install(slot, blocks)
             self.program.record_result(instr.seq)
 
     # -- gathers --------------------------------------------------------
@@ -372,14 +364,15 @@ class PoolRuntime(SuperstepRuntime):
             out[0] = self.problem.initial_vector()
         ranges = self.forward_ranges
         key = self.session_key
-        for chunk in self.pool.call_slots(
+        for blocks in self.pool.call_slots(
             [
-                (rg.proc, _w_collect, (key, rg.proc, kind, list(rg.stages())))
+                (rg.proc, _w_collect, (key, rg.proc, kind, rg.lo + 1, rg.hi + 1))
                 for rg in ranges
             ]
         ):
-            for i, v in chunk.items():
-                out[i] = v
+            for block in blocks:
+                for i, row in block.items():
+                    out[i] = row
         return out
 
     def stage_vectors(self) -> list[np.ndarray | None]:

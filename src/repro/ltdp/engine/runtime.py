@@ -89,7 +89,7 @@ class SuperstepRuntime(ABC):
         instructions.
 
         Returns results in spec order with all stage-resident updates
-        already applied to the runtime's store.  ``path_updates`` are
+        already applied to the runtime's store.  ``path_segment``s are
         applied by the driver (which owns the path array); runtimes with
         worker-resident state must *also* apply them to their workers'
         stores before replying.
@@ -220,10 +220,10 @@ class LocalRuntime(SuperstepRuntime):
         self.state.path = path
 
     def stage_vectors(self) -> list[np.ndarray | None]:
-        return list(self.state.s)
+        return self.state.rows("s", self.problem.num_stages)
 
     def pred_vectors(self) -> list[np.ndarray | None]:
-        return list(self.state.pred)
+        return self.state.rows("pred", self.problem.num_stages)
 
     def finish(self) -> None:
         if self._crew is not None:

@@ -61,6 +61,58 @@ __all__ = [
 FIXUP_FIRST_CHUNK = 64
 
 
+@dataclass(eq=False, slots=True)
+class StageBlock:
+    """Consecutive stages ``start .. stop - 1`` as one 2-D array.
+
+    Row ``r`` of ``rows`` is stage ``start + r``.  With ``widths`` row
+    ``r`` counts only its first ``widths[r]`` entries (banded stages
+    change width near the band edges; the rest is padding).  Blocks are
+    immutable: nothing ever writes into ``rows`` once a block exists,
+    so a row handed out stays valid after later applies.
+    """
+
+    start: int
+    rows: np.ndarray
+    widths: np.ndarray | None = None
+
+    @property
+    def stop(self) -> int:
+        return self.start + len(self.rows)
+
+    def row(self, i: int) -> np.ndarray:
+        """Stage ``i``'s row (a view, trimmed to its width)."""
+        r = i - self.start
+        if self.widths is None:
+            return self.rows[r]
+        return self.rows[r, : self.widths[r]]
+
+    def sub(self, a: int, b: int) -> "StageBlock":
+        """The view of stages ``a .. b - 1``."""
+        if a == self.start and b == self.stop:
+            return self
+        ra, rb = a - self.start, b - self.start
+        widths = None if self.widths is None else self.widths[ra:rb]
+        return StageBlock(a, self.rows[ra:rb], widths)
+
+    def items(self):
+        """``(stage, row)`` pairs in stage order."""
+        for i in range(self.start, self.stop):
+            yield i, self.row(i)
+
+    @classmethod
+    def stack(cls, start: int, rows: list, dtype) -> "StageBlock":
+        """One block from per-stage rows (padded when widths differ)."""
+        widths = np.array([len(r) for r in rows], dtype=np.int64)
+        W = int(widths.max())
+        if widths.min() == W:
+            return cls(start, np.array(rows, dtype=dtype))
+        out = np.zeros((len(rows), W), dtype=dtype)
+        for r, row in enumerate(rows):
+            out[r, : len(row)] = row
+        return cls(start, out, widths)
+
+
 class StageStore(Protocol):
     """What a spec may read while executing: its processor's resident state."""
 
@@ -68,12 +120,21 @@ class StageStore(Protocol):
         """Stored stage vector ``s_i`` (as of the last barrier)."""
         ...
 
-    def get_pred(self, i: int) -> np.ndarray:
-        """Stored predecessor vector of stage ``i``."""
+    def s_blocks(self, a: int, b: int) -> list[StageBlock]:
+        """Stored stage vectors of stages ``a .. b - 1`` as block views,
+        in stage order (one per resident segment they span)."""
+        ...
+
+    def pred_blocks(self, a: int, b: int) -> list[StageBlock]:
+        """Stored predecessors of stages ``a .. b - 1``, like :meth:`s_blocks`."""
         ...
 
     def get_path(self, i: int) -> int:
         """Stored backward-path entry at stage ``i`` (as of the last barrier)."""
+        ...
+
+    def path_slice(self, a: int, b: int) -> np.ndarray:
+        """Stored backward-path entries of stages ``a .. b - 1`` (int64)."""
         ...
 
     def get_fixup_state(self, i: int):
@@ -93,20 +154,23 @@ class StageStore(Protocol):
 class SpecResult:
     """Everything one spec execution produced.
 
-    ``s_updates`` / ``pred_updates`` are the stage-resident writes: a
-    runtime with worker-resident state applies them *in the worker* and
-    strips them before replying, so only ``boundary`` (one stage-width
-    vector) and the scalar fields cross the wire per superstep — the
-    paper's O(boundary) communication model.  ``path_updates`` are the
-    backward phase's output (integers, i.e. the answer itself) and are
-    always returned to the driver.
+    ``s_blocks`` / ``pred_blocks`` are the stage-resident writes, one
+    :class:`StageBlock` per contiguous run: a runtime with
+    worker-resident state applies them *in the worker* and strips them
+    before replying, so only ``boundary`` (one stage-width vector) and
+    the scalar fields cross the wire per superstep — the paper's
+    O(boundary) communication model.  ``path_segment`` is the backward
+    phase's output (integers, i.e. the answer itself) and is always
+    returned to the driver.
     """
 
     proc: int
     work: float = 0.0
-    s_updates: dict[int, np.ndarray] = field(default_factory=dict)
-    pred_updates: dict[int, np.ndarray] = field(default_factory=dict)
-    path_updates: dict[int, int] = field(default_factory=dict)
+    s_blocks: list[StageBlock] = field(default_factory=list)
+    pred_blocks: list[StageBlock] = field(default_factory=list)
+    #: ``(first stage, int64 entries)``: the path entries this backward
+    #: spec wrote, stages ``first .. first + len - 1``.
+    path_segment: tuple[int, np.ndarray] | None = None
     stages_done: int = 0
     converged: bool = True
     #: The executing processor's range-final stage vector after this
@@ -124,7 +188,26 @@ class SpecResult:
 
     def stripped(self) -> "SpecResult":
         """Copy with the stage-resident payloads removed (pool wire format)."""
-        return replace(self, s_updates={}, pred_updates={}, fixup_state_updates={}, fixup_input=None)
+        return replace(self, s_blocks=[], pred_blocks=[], fixup_state_updates={}, fixup_input=None)
+
+    def s_rows(self) -> dict[int, np.ndarray]:
+        """The stage vectors written, by stage."""
+        return {i: row for block in self.s_blocks for i, row in block.items()}
+
+    def pred_rows(self) -> dict[int, np.ndarray]:
+        """The predecessor vectors written, by stage."""
+        return {i: row for block in self.pred_blocks for i, row in block.items()}
+
+
+def _accumulate(total: float, costs) -> float:
+    """``total + costs[0] + costs[1] + …`` added left to right, exactly
+    the per-stage loop's float summation order."""
+    if not len(costs):
+        return total
+    acc = np.empty(len(costs) + 1, dtype=np.float64)
+    acc[0] = total
+    acc[1:] = costs
+    return float(np.cumsum(acc)[-1])
 
 
 @dataclass(frozen=True)
@@ -176,10 +259,6 @@ class ForwardInitSpec(SuperstepSpec):
                 high=self.nz_high,
                 integer=self.nz_integer,
             )
-        out_s: dict[int, np.ndarray] = {}
-        out_pred: dict[int, np.ndarray] = {}
-        out_states: dict[int, object] = {}
-        work = 0.0
         if self.use_kernels:
             from repro.kernels import block_sweep
 
@@ -192,22 +271,22 @@ class ForwardInitSpec(SuperstepSpec):
                         f"stage {self.lo + 1 + sweep.zero_index} produced an "
                         "all--inf vector during the parallel forward pass"
                     )
-                for r, i in enumerate(self.stages()):
-                    out_s[i] = sweep.values[r]
-                    out_pred[i] = sweep.preds[r]
-                    if self.capture_state:
-                        out_states[i] = sweep.states[r]
-                    # Sequential accumulation mirrors the dense loop's
-                    # float summation order exactly.
-                    work += float(sweep.costs[r])
+                start = self.lo + 1
+                states = {}
+                if self.capture_state:
+                    states = dict(zip(self.stages(), sweep.states))
                 return SpecResult(
                     proc=self.proc,
-                    work=work,
-                    s_updates=out_s,
-                    pred_updates=out_pred,
-                    boundary=out_s[self.hi],
-                    fixup_state_updates=out_states,
+                    work=_accumulate(0.0, sweep.costs),
+                    s_blocks=[StageBlock(start, sweep.values, sweep.widths)],
+                    pred_blocks=[StageBlock(start, sweep.preds, sweep.widths)],
+                    boundary=sweep.value(len(sweep) - 1),
+                    fixup_state_updates=states,
                 )
+        out_s: list[np.ndarray] = []
+        out_pred: list[np.ndarray] = []
+        out_states: dict[int, object] = {}
+        work = 0.0
         for i in self.stages():
             if self.capture_state:
                 v, p, st = problem.apply_stage_with_state(i, v)
@@ -219,15 +298,15 @@ class ForwardInitSpec(SuperstepSpec):
                     f"stage {i} produced an all--inf vector during the "
                     "parallel forward pass"
                 )
-            out_s[i] = v
-            out_pred[i] = p
+            out_s.append(v)
+            out_pred.append(p)
             work += problem.stage_cost(i)
         return SpecResult(
             proc=self.proc,
             work=work,
-            s_updates=out_s,
-            pred_updates=out_pred,
-            boundary=out_s[self.hi],
+            s_blocks=[StageBlock.stack(self.lo + 1, out_s, np.float64)],
+            pred_blocks=[StageBlock.stack(self.lo + 1, out_pred, np.int64)],
+            boundary=out_s[-1],
             fixup_state_updates=out_states,
         )
 
@@ -302,11 +381,10 @@ class ForwardFixupSpec(SuperstepSpec):
         """Per-stage sweep: sparse §4.7 repair where the resident state
         allows it, dense otherwise."""
         in_boundary = v
-        new_s: dict[int, np.ndarray] = {}
-        new_pred: dict[int, np.ndarray] = {}
+        new_s: list[np.ndarray] = []
+        new_pred: list[np.ndarray] = []
         new_states: dict[int, object] = {}
         work = 0.0
-        stages_done = 0
         converged = False
         for i in self.stages():
             sparse_cells: float | None = None
@@ -329,7 +407,7 @@ class ForwardFixupSpec(SuperstepSpec):
                 raise ZeroVectorError(
                     f"stage {i} produced an all--inf vector in fix-up"
                 )
-            new_pred[i] = p
+            new_pred.append(p)
             old = store.get_s(i)
             if sparse_cells is not None:
                 work += sparse_cells
@@ -337,14 +415,16 @@ class ForwardFixupSpec(SuperstepSpec):
                 work += delta_fixup_work(old, v)
             else:
                 work += problem.stage_cost(i)
-            stages_done += 1
             if self.is_converged(v, old):
                 converged = True
                 break
-            new_s[i] = v
+            new_s.append(v)
+        start = self.lo + 1
+        s_blocks = [StageBlock.stack(start, new_s, np.float64)] if new_s else []
+        pred_blocks = [StageBlock.stack(start, new_pred, np.int64)]
         return self._result(
-            store, in_boundary, new_s, new_pred, new_states,
-            work, stages_done, converged,
+            store, in_boundary, s_blocks, pred_blocks, new_states,
+            work, len(new_pred), converged,
         )
 
     def _execute_block(self, problem, store, v) -> SpecResult | None:
@@ -357,15 +437,16 @@ class ForwardFixupSpec(SuperstepSpec):
         accepts).  Each chunk is one gated :func:`block_sweep`, and the
         sweep ends with the first chunk that holds a converged row, so
         wall-clock follows ``stages_done`` (paper Fig 4) instead of the
-        whole range.  Zero/convergence/work bookkeeping matches
-        :meth:`_execute_stages` row for row, in stage order.  ``None``
-        when a kernel declines any chunk: the caller then re-runs the
-        whole range on the dense path.
+        whole range.  The stop test compares the chunk's rows with the
+        stored blocks of the same stages, array against array.
+        Zero/convergence/work bookkeeping matches :meth:`_execute_stages`
+        row for row, in stage order.  ``None`` when a kernel declines any
+        chunk: the caller then re-runs the whole range on the dense path.
         """
         from repro.kernels import block_sweep
 
-        new_s: dict[int, np.ndarray] = {}
-        new_pred: dict[int, np.ndarray] = {}
+        s_blocks: list[StageBlock] = []
+        pred_blocks: list[StageBlock] = []
         new_states: dict[int, object] = {}
         work = 0.0
         stages_done = 0
@@ -379,49 +460,64 @@ class ForwardFixupSpec(SuperstepSpec):
             sweep = block_sweep(problem, lo, hi, x, capture_state=self.sparse)
             if sweep is None:
                 return None
-            old = [store.get_s(i) for i in range(lo + 1, hi + 1)]
-            stop = first_parallel_row(sweep.values, old, self.tol)
+            stop = self._first_converged(store, lo, sweep)
             if sweep.zero_index is not None and (stop is None or sweep.zero_index <= stop):
                 raise ZeroVectorError(
                     f"stage {lo + 1 + sweep.zero_index} produced an all--inf "
                     "vector in fix-up"
                 )
             rows = hi - lo if stop is None else stop + 1
-            for r in range(rows):
-                i = lo + 1 + r
-                nv = sweep.values[r]
-                new_pred[i] = sweep.preds[r]
-                if self.sparse:
-                    new_states[i] = sweep.states[r]
-                if charge_delta:
-                    work += delta_fixup_work(old[r], nv)
-                else:
-                    # Cells the kernel actually computed: a block sweep
-                    # is dense even in sparse mode.
-                    work += float(sweep.costs[r])
-                if r != stop:
-                    new_s[i] = nv
+            end = lo + 1 + rows
+            new = StageBlock(lo + 1, sweep.values, sweep.widths).sub(lo + 1, end)
+            pred_blocks.append(StageBlock(lo + 1, sweep.preds, sweep.widths).sub(lo + 1, end))
+            if stop is None:
+                s_blocks.append(new)
+            elif stop:
+                s_blocks.append(new.sub(lo + 1, end - 1))  # not the converged row
+            if self.sparse:
+                new_states.update(zip(range(lo + 1, lo + 1 + rows), sweep.states))
+            if charge_delta:
+                for i, nv in new.items():
+                    work += delta_fixup_work(store.get_s(i), nv)
+            else:
+                # Cells the kernel actually computed: a block sweep is
+                # dense even in sparse mode.
+                work = _accumulate(work, sweep.costs[:rows])
             stages_done += rows
             converged = stop is not None
-            lo, x, size = hi, sweep.values[-1], 2 * size
+            lo, x, size = hi, sweep.value(len(sweep) - 1), 2 * size
         return self._result(
-            store, v, new_s, new_pred, new_states,
+            store, v, s_blocks, pred_blocks, new_states,
             work, stages_done, converged,
         )
 
+    def _first_converged(self, store, lo, sweep) -> int | None:
+        """First row of ``sweep`` (stages ``lo + 1 ..``) parallel to the
+        stored vector of its stage, or ``None``."""
+        for old in store.s_blocks(lo + 1, lo + 1 + len(sweep)):
+            a, b = old.start - lo - 1, old.stop - lo - 1
+            widths = old.widths if sweep.widths is None else sweep.widths[a:b]
+            hit = first_parallel_row(sweep.values[a:b], old.rows, self.tol, widths)
+            if hit is not None:
+                return a + hit
+        return None
+
     def _result(
-        self, store, in_boundary, new_s, new_pred, new_states,
+        self, store, in_boundary, s_blocks, pred_blocks, new_states,
         work, stages_done, converged,
     ) -> SpecResult:
         # On early convergence the stored suffix (including the range
         # final) is untouched, so the advertised boundary is the stored
         # one; otherwise the sweep rewrote through the end of the range.
-        boundary = new_s[self.hi] if self.hi in new_s else store.get_s(self.hi)
+        if s_blocks and s_blocks[-1].stop == self.hi + 1:
+            boundary = s_blocks[-1].row(self.hi)
+        else:
+            boundary = store.get_s(self.hi)
         return SpecResult(
             proc=self.proc,
             work=work,
-            s_updates=new_s,
-            pred_updates=new_pred,
+            s_blocks=s_blocks,
+            pred_blocks=pred_blocks,
             stages_done=stages_done,
             converged=converged,
             boundary=boundary,
@@ -453,6 +549,28 @@ class ObjectiveSpec(SuperstepSpec):
         return SpecResult(proc=self.proc, work=work, objective=best)
 
 
+def _trace(store: StageStore, lo: int, hi: int, x: int, ref=None) -> tuple[np.ndarray, int | None]:
+    """Fig 5 walk over stages ``hi .. lo + 1`` from index ``x``.
+
+    Returns ``(out, stop)``: ``out[r]`` is the path entry of stage
+    ``lo + r`` (``x = pred_{lo+1+r}[x]``), and with ``ref`` (the stored
+    entries of the same stages) the walk ends at the first ``r``, from
+    the top, with ``out[r] == ref[r]`` (``stop = r``; ``None`` when it
+    never does).  Each resident predecessor segment is walked by one
+    compiled :func:`~repro.kernels.backend.traceback` call.
+    """
+    from repro.kernels.backend import traceback
+
+    out = np.empty(hi - lo, dtype=np.int64)
+    for block in reversed(store.pred_blocks(lo + 1, hi + 1)):
+        a, b = block.start - lo - 1, block.stop - lo - 1
+        stop = traceback(block.rows, x, out[a:b], None if ref is None else ref[a:b])
+        if stop is not None:
+            return out, a + stop
+        x = int(out[a])
+    return out, None
+
+
 @dataclass(frozen=True)
 class BackwardInitSpec(SuperstepSpec):
     """Fig 5 initial traversal: follow predecessors right-to-left.
@@ -464,15 +582,11 @@ class BackwardInitSpec(SuperstepSpec):
     start_index: int = 0
 
     def execute(self, problem: LTDPProblem, store: StageStore) -> SpecResult:
-        x = self.start_index
-        out: dict[int, int] = {}
-        for i in range(self.hi, self.lo, -1):
-            x = int(store.get_pred(i)[x])
-            out[i - 1] = x
+        out, _ = _trace(store, self.lo, self.hi, self.start_index)
         return SpecResult(
             proc=self.proc,
             work=float(self.hi - self.lo),
-            path_updates=out,
+            path_segment=(self.lo, out),
         )
 
 
@@ -482,26 +596,18 @@ class BackwardFixupSpec(SuperstepSpec):
 
     Convergence predicate: the traversal agrees with the stored path
     entry (Lemma 5 — guaranteed once the backward partial products
-    reach rank 1).
+    reach rank 1).  The agreeing entry itself is not rewritten.
     """
 
     boundary_index: int = 0
 
     def execute(self, problem: LTDPProblem, store: StageStore) -> SpecResult:
-        x = self.boundary_index
-        updates: dict[int, int] = {}
-        work = 0.0
-        converged = False
-        for i in range(self.hi, self.lo, -1):
-            x = int(store.get_pred(i)[x])
-            work += 1.0
-            if store.get_path(i - 1) == x:
-                converged = True
-                break
-            updates[i - 1] = x
+        ref = store.path_slice(self.lo, self.hi)
+        out, stop = _trace(store, self.lo, self.hi, self.boundary_index, ref)
+        first = 0 if stop is None else stop + 1
         return SpecResult(
             proc=self.proc,
-            work=work,
-            path_updates=updates,
-            converged=converged,
+            work=float(len(out) - first + (stop is not None)),
+            path_segment=(self.lo + first, out[first:]),
+            converged=stop is not None,
         )

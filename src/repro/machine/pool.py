@@ -30,9 +30,11 @@ Fault tolerance
 Every request/reply pair is framed with a monotonically increasing
 **sequence number**, so a stale reply left in a pipe by an abandoned
 dispatch (e.g. a partial-send failure) is recognised and discarded
-instead of being attributed to the wrong superstep.  While waiting for
-a reply the driver health-checks the worker process; a crash triggers
-**automatic respawn** with bounded retry/backoff.  After a respawn the
+instead of being attributed to the wrong superstep.  The driver reads
+a reply with a plain blocking ``recv_bytes`` (no polling loop): a
+worker that dies closes its end of the pipe, so the read ends in EOF,
+which is reported as a crash and triggers **automatic respawn** with
+bounded retry/backoff.  After a respawn the
 registered *rebuild hooks* (one per resident session, registered by
 LTDP pool runtimes via :meth:`add_rebuild_hook`) re-ship each
 session's problem and replay the dead slots' journalled supersteps,
@@ -72,6 +74,10 @@ __all__ = ["PoolProcessExecutor", "RecoveryStats", "FAULT_PLAN_ENV"]
 
 #: Environment variable carrying a fault plan as ``"seq:worker,seq:worker"``.
 FAULT_PLAN_ENV = "REPRO_POOL_FAULTS"
+
+#: Held across pipe creation, fork and closing the child's end of every
+#: worker spawn in this process (see ``_spawn_worker``).
+_SPAWN_LOCK = threading.Lock()
 
 
 @dataclass
@@ -215,7 +221,6 @@ class PoolProcessExecutor(Executor):
         dispatch_timeout: float | None = None,
         max_retries: int = 2,
         retry_backoff: float = 0.05,
-        health_interval: float = 0.05,
         ping_timeout: float = 5.0,
     ) -> None:
         if max_workers is not None and max_workers < 1:
@@ -232,7 +237,6 @@ class PoolProcessExecutor(Executor):
         self.dispatch_timeout = dispatch_timeout
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
-        self.health_interval = health_interval
         self.ping_timeout = ping_timeout
         #: Self-healing counters; the LTDP driver folds deltas of these
         #: into the solve's :class:`~repro.machine.metrics.RunMetrics`.
@@ -283,12 +287,16 @@ class PoolProcessExecutor(Executor):
 
     # ------------------------------------------------------------------
     def _spawn_worker(self) -> tuple[Any, Any]:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        proc = self._ctx.Process(
-            target=_pool_worker_main, args=(child_conn,), daemon=True
-        )
-        proc.start()
-        child_conn.close()
+        # Serialized process-wide: a worker forked while another spawn's
+        # child end is still open here would inherit it and keep that
+        # pipe from ever reporting EOF when its worker dies.
+        with _SPAWN_LOCK:
+            parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+            proc = self._ctx.Process(
+                target=_pool_worker_main, args=(child_conn,), daemon=True
+            )
+            proc.start()
+            child_conn.close()
         return proc, parent_conn
 
     def _ensure_workers(self) -> None:
@@ -393,48 +401,35 @@ class PoolProcessExecutor(Executor):
         proc.join(timeout=5)
 
     def _recv(self, w: int, timeout: float | None) -> tuple[int, int, list, dict]:
-        """One framed reply from worker ``w``, health-checking while waiting.
+        """One framed reply from worker ``w``.
 
         Returns ``(pid, seq, replies, meta)``; ``meta`` carries the
         worker's receive/completion perf_counter stamps plus the reply's
         on-the-wire size (``reply_bytes``, added here).
 
+        Without a timeout the read blocks in ``recv_bytes``: the driver
+        holds no copy of a worker's end of its pipe (closed at spawn,
+        and spawns are serialized so no other worker inherits it), and
+        workers fork nothing, so a dead worker's end closes and the read
+        raises ``EOFError``.  With a timeout it first polls for the
+        remaining time; the poll also wakes on EOF.
+
         Raises :class:`WorkerCrashError` when the worker process dies and
         :class:`ExecutorError` (executor marked broken) on timeout.
         """
         conn = self._conns[w]
-        proc = self._procs[w]
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            wait = self.health_interval
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self._mark_broken(
-                        f"worker {w} did not reply within {timeout}s"
-                    )
-                    raise ExecutorError(
-                        f"pool worker {w} (pid={proc.pid}) did not reply "
-                        f"within the {timeout}s dispatch timeout"
-                    )
-                wait = min(wait, remaining)
-            try:
-                if conn.poll(wait):
-                    return self._decode_reply(conn.recv_bytes())
-            except (EOFError, OSError) as exc:
-                raise WorkerCrashError(
-                    f"pool worker {w} (pid={proc.pid}) died: {exc!r}"
-                ) from None
-            if not proc.is_alive():
-                # Drain anything the worker managed to flush before dying.
-                try:
-                    if conn.poll(0):
-                        return self._decode_reply(conn.recv_bytes())
-                except (EOFError, OSError):
-                    pass
-                raise WorkerCrashError(
-                    f"pool worker {w} (pid={proc.pid}) died without a result"
+        try:
+            if timeout is not None and not conn.poll(max(0.0, timeout)):
+                self._mark_broken(f"worker {w} did not reply within {timeout}s")
+                raise ExecutorError(
+                    f"pool worker {w} (pid={self._procs[w].pid}) did not "
+                    f"reply within the {timeout}s dispatch timeout"
                 )
+            return self._decode_reply(conn.recv_bytes())
+        except (EOFError, OSError) as exc:
+            raise WorkerCrashError(
+                f"pool worker {w} (pid={self._procs[w].pid}) died: {exc!r}"
+            ) from None
 
     @staticmethod
     def _decode_reply(buf: bytes) -> tuple[int, int, list, dict]:

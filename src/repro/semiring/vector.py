@@ -78,14 +78,17 @@ def are_parallel(u: np.ndarray, v: np.ndarray, *, tol: float = 0.0) -> bool:
 _PARALLEL_BLOCK_ELEMS = 2048
 
 
-def first_parallel_row(new_rows, old_rows, tol: float = 0.0) -> int | None:
+def first_parallel_row(new_rows, old_rows, tol: float = 0.0, widths=None) -> int | None:
     """Index of the first ``r`` with ``are_parallel(new_rows[r], old_rows[r])``.
 
     ``None`` when no row pair is parallel.  Rows are tested a block at a
     time with exactly :func:`are_parallel`'s semantics (same ``-inf``
     masks, all-zero pairs parallel, exact offset equality at
-    ``tol == 0``, offset spread ``<= tol`` otherwise).  A block whose
-    rows differ in width (banded stages change width at the band edges)
+    ``tol == 0``, offset spread ``<= tol`` otherwise).  ``new_rows`` /
+    ``old_rows`` are sequences of rows or 2-D arrays; with ``widths``
+    they are 2-D arrays whose row ``r`` counts only its first
+    ``widths[r]`` entries (the rest is padding).  A block whose rows
+    differ in width (banded stages change width at the band edges)
     falls back to :func:`are_parallel` row by row.
     """
     if len(new_rows) != len(old_rows):
@@ -94,10 +97,21 @@ def first_parallel_row(new_rows, old_rows, tol: float = 0.0) -> int | None:
         )
     if not len(new_rows):
         return None
-    step = max(1, _PARALLEL_BLOCK_ELEMS // max(1, np.size(new_rows[0])))
+    if widths is not None and widths.min() == widths.max():
+        w = int(widths[0])
+        new_rows, old_rows, widths = new_rows[:, :w], old_rows[:, :w], None
+    width = np.size(new_rows[0]) if widths is None else int(widths.max())
+    step = max(1, _PARALLEL_BLOCK_ELEMS // max(1, width))
     for start in range(0, len(new_rows), step):
         new_block = new_rows[start : start + step]
         old_block = old_rows[start : start + step]
+        if widths is not None:
+            w = widths[start : start + step]
+            if w.min() == w.max():
+                new_block, old_block = new_block[:, : w[0]], old_block[:, : w[0]]
+            else:
+                new_block = [row[:n] for row, n in zip(new_block, w)]
+                old_block = [row[:n] for row, n in zip(old_block, w)]
         try:
             u = np.asarray(new_block, dtype=np.float64)
             v = np.asarray(old_block, dtype=np.float64)

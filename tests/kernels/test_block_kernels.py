@@ -95,11 +95,11 @@ def assert_sweep_matches_dense(problem, lo, hi, v, capture):
     sweep = block_sweep(problem, lo, hi, v, capture_state=capture)
     assert sweep is not None, "every shipped problem family must plan a kernel"
     dv, dp, ds = dense_sweep(problem, lo, hi, v, capture)
-    assert len(sweep.values) == len(dv)
-    for r, (kv, dvr) in enumerate(zip(sweep.values, dv)):
-        assert np.asarray(kv).tobytes() == dvr.tobytes(), f"values differ at stage offset {r}"
-    for r, (kp, dpr) in enumerate(zip(sweep.preds, dp)):
-        assert np.array_equal(kp, dpr), f"preds differ at stage offset {r}"
+    assert len(sweep) == len(dv)
+    for r, dvr in enumerate(dv):
+        assert sweep.value(r).tobytes() == dvr.tobytes(), f"values differ at stage offset {r}"
+    for r, dpr in enumerate(dp):
+        assert np.array_equal(sweep.pred(r), dpr), f"preds differ at stage offset {r}"
     if capture:
         assert sweep.states is not None
         for r, (ks, dsr) in enumerate(zip(sweep.states, ds)):
@@ -163,8 +163,9 @@ class _ToyKernel(StageBlockKernel):
             vals.append(cur.copy())
             preds.append(np.arange(cur.size, dtype=np.int64))
         return BlockSweep(
-            values=vals,
-            preds=preds,
+            values=np.array(vals),
+            preds=np.array(preds),
+            widths=None,
             states=None,
             costs=np.full(hi - lo, float(len(np.asarray(v)))),
             zero_index=None,
@@ -227,8 +228,8 @@ class TestRegistry:
         problem = scratch_registry()
         sweep = block_sweep(problem, 0, 4, problem.initial_vector())
         assert sweep is not None
-        assert len(sweep.values) == 4
-        np.testing.assert_array_equal(sweep.values[-1], np.full(3, 1.0 + 2 + 3 + 4))
+        assert len(sweep) == 4
+        np.testing.assert_array_equal(sweep.value(3), np.full(3, 1.0 + 2 + 3 + 4))
 
 
 class _LastStageLiar(StageBlockKernel):
@@ -250,10 +251,9 @@ class _LastStageLiar(StageBlockKernel):
     def run(self, problem, plan, lo, hi, v, *, capture_state=False):
         sweep = self.inner.run(problem, plan, lo, hi, v, capture_state=capture_state)
         if sweep is not None:
-            last = len(sweep.values) - 1 - sweep.dense_tail
-            bad = np.array(sweep.values[last], copy=True)
+            last = len(sweep) - 1 - sweep.dense_tail
+            bad = sweep.value(last)
             bad[int(np.argmax(bad))] += 3.0  # a finite cell
-            sweep.values[last] = bad
         return sweep
 
 
@@ -319,11 +319,10 @@ class _InteriorStageLiar(_LastStageLiar):
     def run(self, problem, plan, lo, hi, v, *, capture_state=False):
         sweep = self.inner.run(problem, plan, lo, hi, v, capture_state=capture_state)
         if sweep is not None:
-            last = len(sweep.values) - 1 - sweep.dense_tail
+            last = len(sweep) - 1 - sweep.dense_tail
             r = kregistry._spot_row(lo, hi, last)
-            bad = np.array(sweep.values[r], copy=True)
+            bad = sweep.value(r)
             bad[int(np.argmax(bad))] += 3.0  # a finite cell
-            sweep.values[r] = bad
         return sweep
 
 
@@ -362,10 +361,10 @@ class TestInteriorSpotGate:
                 continue
             # First and last stages are honest: only the spot check refuses
             # (unless the spot row feeds the last one, which then fails too).
-            last = len(sweep.values) - 1 - sweep.dense_tail
+            last = len(sweep) - 1 - sweep.dense_tail
             assert kregistry._stage_matches(problem, 1, v, sweep, 0, False)
             last_ok = kregistry._stage_matches(
-                problem, 1 + last, sweep.values[last - 1], sweep, last, False
+                problem, 1 + last, sweep.value(last - 1), sweep, last, False
             )
             assert last_ok == (kregistry._spot_row(0, hi, last) < last - 1)
         assert block_sweep(problem, 0, hi, v) is None
@@ -518,10 +517,10 @@ class TestBackends:
             reset_plan_cache()
             got = block_sweep(problem, 0, hi, v0)
             assert got is not None
-            for kv, rv in zip(got.values, ref.values):
-                assert np.asarray(kv).tobytes() == np.asarray(rv).tobytes()
-            for kp, rp in zip(got.preds, ref.preds):
-                assert np.array_equal(kp, rp)
+            assert len(got) == len(ref)
+            for r in range(len(ref)):
+                assert got.value(r).tobytes() == ref.value(r).tobytes()
+                assert np.array_equal(got.pred(r), ref.pred(r))
         reset_plan_cache()
 
 
@@ -601,3 +600,71 @@ class TestViterbiTies:
         assert on.metrics.forward_fixup_iterations == off.metrics.forward_fixup_iterations
         assert on.metrics.work_by_processor() == off.metrics.work_by_processor()
         reset_plan_cache()
+
+
+def _scan_zero_row(sweep):
+    """The per-row ``isneginf`` scan the kernels' zero index replaces."""
+    for r in range(len(sweep)):
+        if np.all(np.isneginf(sweep.value(r))):
+            return r
+    return None
+
+
+class TestZeroRowIndex:
+    """Each kernel reports its first all-0̄ row itself (the compiled
+    Viterbi kernel while sweeping); it must equal the scan."""
+
+    def _inputs(self, problem):
+        rng = np.random.default_rng(4)
+        w = problem.stage_width(0)
+        partial = rng.integers(-5, 6, w).astype(np.float64)
+        partial[rng.random(w) < 0.7] = -np.inf
+        return {
+            "initial": problem.initial_vector(),
+            "finite": rng.integers(-5, 6, w).astype(np.float64),
+            "partial": partial,
+            "zero": np.full(w, -np.inf),
+        }
+
+    @pytest.mark.parametrize("backend", ["cc", "numpy"])
+    @pytest.mark.parametrize("name", list(PROBLEMS))
+    def test_zero_index_equals_scan(self, forced_backend, backend, name):
+        if forced_backend(backend).kind != backend:
+            pytest.skip(f"{backend} backend unavailable on this host")
+        problem = PROBLEMS[name]
+        for label, v in self._inputs(problem).items():
+            for kernel in registered_kernels(type(problem)):
+                plan = kernel.plan(problem)
+                if plan is None:
+                    continue
+                with np.errstate(invalid="ignore"):
+                    sweep = kernel.run(problem, plan, 0, problem.num_stages, v)
+                if sweep is None:
+                    continue
+                assert sweep.zero_index == _scan_zero_row(sweep), (label, kernel.name)
+                if label == "zero":
+                    assert sweep.zero_index == 0
+
+    @pytest.mark.parametrize("row", [0, 5, 39])
+    def test_compiled_viterbi_reports_a_zero_row_mid_block(self, forced_backend, row):
+        from repro.kernels.viterbi import ViterbiBlockKernel
+
+        problem = PROBLEMS["vit-hard"]
+        plan = ViterbiBlockKernel().plan(problem)
+        M = np.array(plan.M[:40], copy=True)
+        M[row] = -np.inf  # every branch into every state is 0̄ at this stage
+        v = problem.initial_vector()
+        found = {}
+        for backend in ("numpy", "cc"):
+            resolved = forced_backend(backend)
+            if resolved.kind != backend:
+                continue
+            out_s = np.empty((40, plan.S))
+            out_p = np.empty((40, plan.S), dtype=np.int64)
+            if resolved.viterbi_block is None:
+                zero = ViterbiBlockKernel._run_numpy(plan, M, v, out_s, out_p)
+            else:
+                zero = resolved.viterbi_block(v, M, plan.perm, plan.pred0, out_s, out_p)
+            found[backend] = (int(zero), out_s.tobytes(), out_p.tobytes())
+            assert zero == row
+        assert len({f for f in found.values()}) == 1

@@ -22,7 +22,12 @@ import pytest
 from repro.exceptions import ZeroVectorError
 from repro.kernels import BlockSweep, StageBlockKernel, register_kernel
 from repro.kernels import registry as kregistry
-from repro.ltdp.engine.specs import FIXUP_FIRST_CHUNK, ForwardFixupSpec
+from repro.ltdp.engine.specs import (
+    FIXUP_FIRST_CHUNK,
+    ForwardFixupSpec,
+    SpecResult,
+    StageBlock,
+)
 from repro.ltdp.engine.store import DriverStore
 from repro.ltdp.matrix_problem import MatrixLTDPProblem
 from repro.problems.alignment.lcs import LCSProblem
@@ -84,11 +89,13 @@ def _store_converging_at(problem, lo, hi, boundary, first_parallel):
     nowhere)."""
     store = DriverStore(problem)
     rows = _dense_rows(problem, lo, hi, boundary)
-    for r, row in enumerate(rows):
-        if first_parallel is not None and r >= first_parallel:
-            store.s[lo + 1 + r] = row + 3.0
-        else:
-            store.s[lo + 1 + r] = _not_parallel(row)
+    stored = [
+        row + 3.0
+        if first_parallel is not None and r >= first_parallel
+        else _not_parallel(row)
+        for r, row in enumerate(rows)
+    ]
+    store.apply(SpecResult(proc=2, s_blocks=[StageBlock.stack(lo + 1, stored, np.float64)]))
     return store
 
 
@@ -115,12 +122,14 @@ def assert_same_result(block, dense):
     assert block.stages_done == dense.stages_done
     assert block.converged == dense.converged
     assert block.boundary.tobytes() == dense.boundary.tobytes()
-    assert sorted(block.s_updates) == sorted(dense.s_updates)
-    for i, v in dense.s_updates.items():
-        assert np.asarray(block.s_updates[i]).tobytes() == v.tobytes()
-    assert sorted(block.pred_updates) == sorted(dense.pred_updates)
-    for i, p in dense.pred_updates.items():
-        assert np.array_equal(block.pred_updates[i], p)
+    block_s, dense_s = block.s_rows(), dense.s_rows()
+    assert sorted(block_s) == sorted(dense_s)
+    for i, v in dense_s.items():
+        assert np.asarray(block_s[i]).tobytes() == v.tobytes()
+    block_p, dense_p = block.pred_rows(), dense.pred_rows()
+    assert sorted(block_p) == sorted(dense_p)
+    for i, p in dense_p.items():
+        assert np.array_equal(block_p[i], p)
     assert sorted(block.fixup_state_updates) == sorted(dense.fixup_state_updates)
     for i, st in dense.fixup_state_updates.items():
         assert kregistry._states_equal(block.fixup_state_updates[i], st)
@@ -253,8 +262,9 @@ class _ReplayKernel(StageBlockKernel):
             preds.append(p)
         zero = [r for r, row in enumerate(vals) if np.all(np.isneginf(row))]
         return BlockSweep(
-            values=vals,
-            preds=preds,
+            values=np.array(vals),
+            preds=np.array(preds),
+            widths=None,
             states=None,
             costs=np.array([problem.stage_cost(i) for i in range(lo + 1, hi + 1)]),
             zero_index=zero[0] if zero else None,

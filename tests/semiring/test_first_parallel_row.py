@@ -91,6 +91,28 @@ class TestFirstParallelRow:
             got = first_parallel_row(new_rows, old_rows, tol)
         assert got == _scalar(new_rows, old_rows, tol)
 
+    @settings(max_examples=200, deadline=None)
+    @given(row_pairs(ragged=True), TOLS, st.sampled_from([1, 3, 2048]), st.integers(0, 2))
+    def test_padded_blocks_with_widths_equal_the_trimmed_rows(self, pairs, tol, block, extra):
+        """Rows padded into 2-D arrays (different padding on each side)
+        and trimmed back by ``widths``: the kernel sweep's layout."""
+        new_rows, old_rows = pairs
+        widths = np.array([len(u) for u in new_rows], dtype=np.int64)
+        W = int(widths.max())
+        new = np.full((len(new_rows), W), 9.0)
+        old = np.full((len(old_rows), W + extra), -math.inf)
+        for r, (u, v) in enumerate(zip(new_rows, old_rows)):
+            new[r, : len(u)] = u
+            old[r, : len(v)] = v
+        saved = vector_mod._PARALLEL_BLOCK_ELEMS
+        vector_mod._PARALLEL_BLOCK_ELEMS = block
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = first_parallel_row(new, old, tol, widths)
+        finally:
+            vector_mod._PARALLEL_BLOCK_ELEMS = saved
+        assert got == _scalar(new_rows, old_rows, tol)
+
     def test_accepts_a_2d_block(self):
         new = np.array([[1.0, 2.0], [3.0, -math.inf], [0.0, 5.0]])
         old = np.array([[1.0, 3.0], [4.0, -math.inf], [1.0, 6.0]])

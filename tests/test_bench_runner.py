@@ -401,19 +401,45 @@ class TestDuplicateCells:
 
 class TestEndToEnd:
     def test_smoke_run_emits_valid_doc_then_compares(self, runner, tmp_path, capsys):
+        """The document and the bit-identity verdicts, never a wall-clock
+        verdict: those checks keep their thresholds in the bench itself
+        (``repro bench record`` and ``--check`` exit 1 when one fails),
+        but a loaded host must not fail this test."""
         out = tmp_path / "BENCH_pool.json"
-        doc, code = runner.run_bench(True, 1, out, trace_path=None)
-        assert code == 0
+        doc, checks_ok = runner.run_suite(True, 1, None)
         runner.validate_bench_doc(doc)
-        on_disk = json.loads(out.read_text())
-        assert on_disk["schema_version"] == runner.BENCH_SCHEMA_VERSION
-        assert on_disk["mode"] == "smoke"
-        assert {(r["problem"], r["executor"]) for r in on_disk["results"]} >= {
+        assert doc["schema_version"] == runner.BENCH_SCHEMA_VERSION
+        assert doc["mode"] == "smoke"
+        assert {(r["problem"], r["executor"]) for r in doc["results"]} >= {
             ("lcs", "pool"),
             ("viterbi", "serial"),
         }
-        for check in on_disk["checks"].values():
-            assert check["passed"]
+        checks = doc["checks"]
+        assert set(checks) == {
+            "tracing_disabled_overhead",
+            "trace_coverage",
+            "delta_fixup_reduction",
+            "runner_scaling",
+            "kernel_tier_speedup",
+            "fixup_stops_early",
+        }
+        for check in checks.values():
+            assert isinstance(check["passed"], bool)
+        assert checks_ok == all(c["passed"] for c in checks.values())
+        # Verdicts that do not depend on the clock.
+        assert checks["trace_coverage"]["passed"]
+        assert checks["delta_fixup_reduction"]["passed"]
+        assert checks["runner_scaling"]["passed"]  # gated on bit-identity only
+        assert all(r["bit_identical"] for r in checks["runner_scaling"]["rows"])
+        assert checks["kernel_tier_speedup"]["bit_identical"]
+        assert all(r["bit_identical"] for r in checks["kernel_tier_speedup"]["rows"])
+        assert checks["tracing_disabled_overhead"]["spans_recorded"] == 0
+
+        # Emitted as the baseline whatever the timing verdicts said.
+        runner.finalize_run(doc, out, checks_ok=checks_ok, update_baseline=True)
+        on_disk = json.loads(out.read_text())
+        runner.validate_bench_doc(on_disk)
+        assert on_disk["results"] == json.loads(json.dumps(doc["results"]))
         assert "comparison" not in on_disk  # first run: nothing to compare
 
         # Second run compares cell-by-cell against the first.  (Whether
