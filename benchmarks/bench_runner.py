@@ -53,7 +53,6 @@ from repro.bench.pool_bench import (  # noqa: E402,F401  (re-exported)
 from repro.bench.pool_bench import (  # noqa: E402,F401  (legacy private names)
     _check_delta_fixup_reduction,
     _check_disabled_overhead,
-    _check_runner_scaling,
     _check_trace_coverage,
     _fixup_cells,
     _grid,

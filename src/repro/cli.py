@@ -202,7 +202,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
             seed=args.seed,
             executor=executor,
             tracer=tracer,
-            runners=args.runners,
         )
         par = solve_parallel(problem, options)
     ok = bool(np.array_equal(seq.path, par.path)) and abs(seq.score - par.score) < 1e-9
@@ -211,7 +210,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"score            : {seq.score}")
     print(f"parallel == seq  : {ok}")
     print(f"executor         : {args.executor}")
-    print(f"runners          : {args.runners}")
     print(f"processors       : {m.num_procs}")
     if choice is not None:
         print(
@@ -320,10 +318,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     problem = build_problem(args)
     with _build_executor(args) as executor:
         options = ParallelOptions(
-            num_procs=args.procs,
-            seed=args.seed,
-            executor=executor,
-            runners=args.runners,
+            num_procs=args.procs, seed=args.seed, executor=executor
         )
         par = solve_parallel(problem, options)
     print(render_gantt(par.metrics, CostModel(cell_cost=1e-7), columns=args.columns))
@@ -350,14 +345,6 @@ def main(argv: list[str] | None = None) -> int:
         f"P <= {SOLVE_PROCS_CEILING} from one in-process solve",
     )
     p_solve.add_argument(
-        "--runners",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="concurrent instruction runners pulling from the shared work "
-        "queue (1 = classic superstep loop; results are bit-identical)",
-    )
-    p_solve.add_argument(
         "--trace",
         metavar="PATH",
         default=None,
@@ -379,13 +366,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_problem_args(p_trace)
     _add_runtime_args(p_trace)
     p_trace.add_argument("--procs", type=int, default=8)
-    p_trace.add_argument(
-        "--runners",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="concurrent instruction runners (see `repro solve --runners`)",
-    )
     p_trace.add_argument("--columns", type=int, default=100)
 
     p_serve = sub.add_parser(

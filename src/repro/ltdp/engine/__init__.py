@@ -1,4 +1,4 @@
-"""The parallel LTDP engine: plan, store, program and runner layers.
+"""The parallel LTDP engine: plan, program and store layers.
 
 The engine splits the paper's parallel algorithm (Figs 4/5) into
 
@@ -8,20 +8,19 @@ The engine splits the paper's parallel algorithm (Figs 4/5) into
   barrier-delimited superstep
   (:mod:`~repro.ltdp.engine.forward`, :mod:`~repro.ltdp.engine.backward`,
   orchestrated by :mod:`~repro.ltdp.engine.driver`);
-- a **state-store layer** (:mod:`~repro.ltdp.engine.store`) owning the
-  stage/predecessor vectors and resident fix-up caches, driver-resident
-  (:class:`~repro.ltdp.engine.store.DriverStore`) or worker-resident
-  (:class:`~repro.ltdp.engine.store.WorkerStore`) behind one interface;
 - a **program layer** (:mod:`~repro.ltdp.engine.program`) compiling
-  spec lists into a sequence-numbered, dependency-edged
+  spec lists into a sequence-numbered
   :class:`~repro.ltdp.engine.program.InstructionProgram` whose
   instructions are idempotent under repeat delivery and whose recorded
   prefix doubles as the crash-recovery replay journal;
-- a **runner layer** (:mod:`~repro.ltdp.engine.runner` +
-  :mod:`repro.machine.workqueue`) where N concurrent runners pull
-  ready instructions from a shared work queue — glued together by the
-  runtimes (:class:`~repro.ltdp.engine.runtime.LocalRuntime` over a
-  classic serial/thread :class:`~repro.machine.executor.Executor`, or
+- a **state-store layer** (:mod:`~repro.ltdp.engine.store`) owning the
+  stage/predecessor vectors and resident fix-up caches, driver-resident
+  (:class:`~repro.ltdp.engine.store.DriverStore`) or worker-resident
+  (:class:`~repro.ltdp.engine.store.WorkerStore`) behind one interface —
+  glued together by the runtimes, each running a superstep as one
+  batched dispatch
+  (:class:`~repro.ltdp.engine.runtime.LocalRuntime` over a classic
+  serial/thread :class:`~repro.machine.executor.Executor`, or
   :class:`~repro.ltdp.engine.poolrt.PoolRuntime` over the persistent
   :class:`~repro.machine.pool.PoolProcessExecutor`).
 
@@ -36,7 +35,6 @@ from repro.ltdp.engine.driver import (
     solve_parallel,
 )
 from repro.ltdp.engine.program import Instruction, InstructionProgram
-from repro.ltdp.engine.runner import DeliveryPolicy, RunnerCrew
 from repro.ltdp.engine.runtime import LocalRuntime, SuperstepRuntime
 from repro.ltdp.engine.specs import (
     BackwardFixupSpec,
@@ -60,8 +58,6 @@ __all__ = [
     "WorkerStore",
     "Instruction",
     "InstructionProgram",
-    "DeliveryPolicy",
-    "RunnerCrew",
     "SuperstepSpec",
     "SpecResult",
     "ForwardInitSpec",

@@ -41,7 +41,6 @@ from repro.ltdp.engine.backward import (
 )
 from repro.ltdp.engine.forward import forward_phase
 from repro.ltdp.engine.inprocess import SequentialAnswer
-from repro.ltdp.engine.runner import DeliveryPolicy
 from repro.ltdp.engine.runtime import LocalRuntime, SuperstepRuntime
 from repro.ltdp.partition import partition_stages
 from repro.ltdp.problem import LTDPProblem, LTDPSolution
@@ -118,18 +117,6 @@ class ParallelOptions:
         A ``num_procs=1`` solve runs the kernel-tier sequential solver
         in-process (:mod:`~repro.ltdp.engine.inprocess`) and records
         only its forward and backward ``phase`` spans.
-    runners:
-        Concurrent instruction runners pulling from the shared work
-        queue (CLI ``--runners``).  1 (default) keeps the classic
-        one-batch-per-barrier superstep loop; ``> 1`` spins up a
-        :class:`~repro.ltdp.engine.runner.RunnerCrew` so a superstep's
-        instructions execute concurrently as the queue releases them.
-        Results are bit-identical either way.
-    delivery:
-        Optional :class:`~repro.ltdp.engine.runner.DeliveryPolicy`
-        perturbing instruction delivery (duplicates, LIFO order) — the
-        redelivery test suite's fault-injection knob.  A non-default
-        policy forces the runner-crew path even with ``runners=1``.
     use_kernels:
         Raw-speed kernel tier (:mod:`repro.kernels`) tri-state.
         ``None`` (default, auto) dispatches whole stage-blocks through a
@@ -154,15 +141,11 @@ class ParallelOptions:
     parallel_backward: bool = True
     keep_stage_vectors: bool = False
     tracer: Tracer | None = None
-    runners: int = 1
-    delivery: DeliveryPolicy | None = None
     use_kernels: bool | None = None
 
     def __post_init__(self) -> None:
         if self.num_procs < 1:
             raise ValueError(f"num_procs must be >= 1, got {self.num_procs}")
-        if self.runners < 1:
-            raise ValueError(f"runners must be >= 1, got {self.runners}")
         if not self.nz_low < self.nz_high:
             raise ValueError("require nz_low < nz_high")
         if not 0.0 < self.delta_crossover <= 1.0:
@@ -216,24 +199,13 @@ def _make_runtime(
     problem: LTDPProblem,
     ranges,
     tracer: Tracer | None = None,
-    runners: int = 1,
-    delivery: DeliveryPolicy | None = None,
 ) -> SuperstepRuntime:
     """Runtime selection: resident-state executors get the pool runtime."""
     if executor_capability(executor, "resident_state"):
         from repro.ltdp.engine.poolrt import PoolRuntime
 
-        return PoolRuntime(
-            executor,
-            problem,
-            ranges,
-            tracer=tracer,
-            runners=runners,
-            delivery=delivery,
-        )
-    return LocalRuntime(
-        executor, problem, tracer=tracer, runners=runners, delivery=delivery
-    )
+        return PoolRuntime(executor, problem, ranges, tracer=tracer)
+    return LocalRuntime(executor, problem, tracer=tracer)
 
 
 def _run_phases(
@@ -369,14 +341,7 @@ def solve_parallel(
         num_procs=num_procs,
         executor=type(options.executor).__name__,
     )
-    runtime = _make_runtime(
-        options.executor,
-        problem,
-        ranges,
-        tracer,
-        runners=options.runners,
-        delivery=options.delivery,
-    )
+    runtime = _make_runtime(options.executor, problem, ranges, tracer)
     try:
         solution = _run_phases(problem, options, ranges, runtime, metrics)
     finally:

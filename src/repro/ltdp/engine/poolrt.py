@@ -16,9 +16,11 @@ path segment **inside the worker**
   never the per-stage payloads.  That is exactly the paper's cost
   model: per fix-up iteration, one boundary vector per neighbour pair
   crosses a process boundary, nothing else;
+- each superstep is **one batched** ``call_slots`` dispatch: one
+  message per involved worker, one round trip per barrier;
 - the wire protocol is **idempotent per instruction**: workers cache
   each instruction's stripped reply by seq, so a re-delivered
-  instruction (duplicate delivery, post-recovery re-send) returns the
+  instruction (a re-sent batch, a post-recovery re-send) returns the
   cached reply without re-executing — numpywren's ``FailureTests``
   contract at the transport layer;
 - when the backward partition differs from the forward one (objective
@@ -57,8 +59,7 @@ import numpy as np
 
 from repro.exceptions import ExecutorError
 from repro.ltdp.engine.program import Instruction, InstructionProgram
-from repro.ltdp.engine.runner import DeliveryPolicy, RunnerCrew
-from repro.ltdp.engine.runtime import SuperstepRuntime, _wants_crew
+from repro.ltdp.engine.runtime import SuperstepRuntime
 from repro.ltdp.engine.specs import SpecResult, StageBlock, SuperstepSpec
 from repro.ltdp.engine.store import WorkerStore
 from repro.ltdp.partition import StageRange
@@ -111,10 +112,9 @@ def _w_run_instr(ns, key: str, seq: int, spec: SuperstepSpec) -> SpecResult:
     """Execute one instruction against the slot's resident store.
 
     Idempotent under repeat delivery: the stripped reply of every
-    executed instruction is cached by seq, and a re-delivery (duplicate
-    from the runner queue, or a post-recovery re-send of a request the
-    worker already served) returns the cache without touching resident
-    state.  During crash-recovery replay the same function re-runs the
+    executed instruction is cached by seq, and a re-delivery (a re-sent
+    batch, or a post-recovery re-send of a request the worker already
+    served) returns the cache without touching resident state.  During crash-recovery replay the same function re-runs the
     recorded program suffix — replies are discarded by the replay
     batch, and re-populating the cache is exactly what a rebuilt worker
     needs to keep honouring the contract.
@@ -161,13 +161,8 @@ def _w_install_pred(ns, key: str, slot: int, blocks: list[StageBlock]) -> None:
 class PoolRuntime(SuperstepRuntime):
     """Plan executor backed by persistent, state-resident pool workers.
 
-    With ``runners > 1`` (or a redelivery-testing
-    :class:`~repro.ltdp.engine.runner.DeliveryPolicy`), instructions are
-    pulled by a :class:`~repro.ltdp.engine.runner.RunnerCrew` and each
-    dispatched individually to its slot's worker (the pool serializes
-    per-worker pipe traffic); with the default single runner, a whole
-    superstep ships as one batched dispatch per barrier — the classic
-    one-round-trip-per-superstep wire cost.
+    A whole superstep ships as one batched dispatch per barrier — one
+    round trip per superstep on the wire.
     """
 
     _key_counter = itertools.count(1)
@@ -178,8 +173,6 @@ class PoolRuntime(SuperstepRuntime):
         problem: LTDPProblem,
         ranges: Sequence[StageRange],
         tracer: Tracer | None = None,
-        runners: int = 1,
-        delivery: DeliveryPolicy | None = None,
     ) -> None:
         self.pool = pool
         self.problem = problem
@@ -203,16 +196,6 @@ class PoolRuntime(SuperstepRuntime):
         # rebuilt (session included) by the next dispatch's recovery.
         self.pool.add_rebuild_hook(self, self._rebuild_worker)
         self.pool.post(_w_reset, (self.session_key, blob, slots))
-        self._crew: RunnerCrew | None = None
-        if _wants_crew(runners, delivery):
-            self._crew = RunnerCrew(
-                runners,
-                self._execute_instr,
-                self.program,
-                tracer=self.tracer,
-                policy=delivery,
-            )
-            pool.add_teardown_hook(self._crew.close)
 
     @staticmethod
     def _pickle_problem(problem: LTDPProblem) -> bytes:
@@ -259,35 +242,23 @@ class PoolRuntime(SuperstepRuntime):
                 calls.append((_w_install_pred, (key, instr.slot, instr.payload)))
         return calls, replayed
 
-    def _execute_instr(self, instr: Instruction) -> SpecResult:
-        """Runner-crew transport: one dispatch per pulled instruction."""
-        return self.pool.call_slots(
-            [(instr.slot, _w_run_instr, (self.session_key, instr.seq, instr.spec))]
-        )[0]
-
     def run(
         self, specs: Sequence[SuperstepSpec], label: str = ""
     ) -> list[SpecResult]:
         tracer = self.tracer
-        step_no, instrs = self.program.add_superstep(specs, label)
+        step_no, instrs = self.program.add_superstep(specs)
         t0 = time.perf_counter()
-        # The context tags the pool's per-worker dispatch spans (and the
-        # crew's runner spans) with this superstep's identity.
+        # The context tags the pool's per-worker dispatch spans with
+        # this superstep's identity.
         with tracer.context(superstep=step_no, label=label):
-            if self._crew is not None:
-                results = self._crew.run_step(instrs)
-            else:
-                # Classic path: the whole superstep as one batched
-                # dispatch per worker — one round trip per barrier.
-                key = self.session_key
-                results = self.pool.call_slots(
-                    [(i.slot, _w_run_instr, (key, i.seq, i.spec)) for i in instrs]
-                )
-                # Record only after the barrier: an in-flight
-                # instruction must not be part of the replay that
-                # precedes its own re-send.
-                for instr, result in zip(instrs, results):
-                    self.program.record_result(instr.seq, result)
+            key = self.session_key
+            results = self.pool.call_slots(
+                [(i.slot, _w_run_instr, (key, i.seq, i.spec)) for i in instrs]
+            )
+        # Record only after the barrier: an in-flight instruction must
+        # not be part of the replay that precedes its own re-send.
+        for instr in instrs:
+            self.program.record(instr.seq)
         tracer.add_span(
             "superstep",
             t0,
@@ -355,7 +326,7 @@ class PoolRuntime(SuperstepRuntime):
         # order between the forward and backward instruction suffixes.
         for slot, blocks in installs.items():
             instr = self.program.add_install(slot, blocks)
-            self.program.record_result(instr.seq)
+            self.program.record(instr.seq)
 
     # -- gathers --------------------------------------------------------
     def _gather(self, kind: str) -> list[np.ndarray | None]:
@@ -388,10 +359,6 @@ class PoolRuntime(SuperstepRuntime):
         if self._finished:
             return
         self._finished = True
-        if self._crew is not None:
-            self._crew.close()
-            self.pool.remove_teardown_hook(self._crew.close)
-            self._crew = None
         # Unhook before dropping: a worker respawn triggered after the
         # drop must not replay the session it is dropping.
         self.pool.remove_rebuild_hook(self)

@@ -3,214 +3,118 @@
 A phase planner emits one :class:`~repro.ltdp.engine.specs.SuperstepSpec`
 per processor per barrier; this module compiles those lists into a
 sequence-numbered :class:`InstructionProgram` — the lambdapack pattern
-(numpywren): a flat, append-only list of :class:`Instruction` objects,
-each naming the dataflow slots it reads and writes, pulled by runners
-and **idempotent under repeat delivery**.
+(numpywren): an append-only sequence of :class:`Instruction` objects,
+each **idempotent under repeat delivery** (a re-sent instruction
+carries its seq, and stores apply each seq at most once).
 
-The program is simultaneously three things:
+The program does four jobs:
 
-- the **schedule**: each instruction carries the dependency edges
-  (``deps``) a work queue needs to release it only when its inputs
-  exist — the fix-up DAG made explicit;
+- **numbering**: every instruction gets a program-global seq, the key
+  of the worker-side reply cache and the store's apply-once guard;
 - the **counter**: ``add_superstep`` increments the solve-global
   superstep number unconditionally, so trace spans, metrics
-  ``SuperstepRecord.step`` values and instruction seqs all correlate
-  (the old ``LocalRuntime._step_no`` only counted when tracing was on);
+  ``SuperstepRecord.step`` values and instruction seqs all correlate;
 - the **journal**: ``slot_history`` lists every instruction ever
-  compiled for a slot, and ``is_recorded`` marks the ones whose results
-  completed a barrier — exactly the prefix crash recovery must replay.
-  PR 2's replay journal is subsumed: rebuilding a dead worker is
-  "re-run the recorded program suffix for its slots".
-
-Dataflow slot naming: ``state:p`` / ``pred:p`` / ``bnd:p`` / ``obj:p``
-/ ``path:p`` are processor ``p``'s resident stage vectors, predecessor
-vectors, range-final boundary, objective candidate and path segment.
-A fix-up instruction for processor ``p`` reads ``bnd:p-1`` (its left
-neighbour's boundary as of the previous barrier) — the paper's one
-message per neighbour pair per iteration, now a visible edge.
+  compiled for a slot;
+- the **recorded set**: ``is_recorded`` marks the instructions whose
+  results completed a barrier.  Filtered by it, a slot's history is
+  exactly the prefix crash recovery must replay: rebuilding a dead
+  worker is "re-run the recorded program suffix for its slots".
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.ltdp.engine.specs import (
-    BackwardFixupSpec,
-    BackwardInitSpec,
-    ForwardFixupSpec,
-    ForwardInitSpec,
-    ObjectiveSpec,
-    SpecResult,
-    SuperstepSpec,
-)
+from repro.ltdp.engine.specs import SuperstepSpec
 
 __all__ = ["Instruction", "InstructionProgram"]
 
 
-def _dataflow(spec: SuperstepSpec) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """``(reads, writes)`` dataflow slots of one spec's instruction."""
-    p = spec.proc
-    if isinstance(spec, ForwardInitSpec):
-        return (), (f"state:{p}", f"pred:{p}", f"bnd:{p}")
-    if isinstance(spec, ForwardFixupSpec):
-        return (f"bnd:{p - 1}", f"state:{p}"), (
-            f"state:{p}",
-            f"pred:{p}",
-            f"bnd:{p}",
-        )
-    if isinstance(spec, ObjectiveSpec):
-        return (f"state:{p}",), (f"obj:{p}",)
-    if isinstance(spec, BackwardInitSpec):
-        return (f"pred:{p}",), (f"path:{p}",)
-    if isinstance(spec, BackwardFixupSpec):
-        return (f"pred:{p}", f"path:{p + 1}"), (f"path:{p}",)
-    return (), ()  # unknown spec kinds order only by superstep barrier
-
-
 @dataclass(frozen=True)
 class Instruction:
-    """One pullable unit of work: a spec (or install) plus its edges.
+    """One unit of work: a spec (or install) plus its program position.
 
-    ``seq`` is the program-global sequence number (1-based, dense);
-    ``step`` the superstep this instruction belongs to.  ``op`` is
-    ``"spec"`` (execute ``spec`` against the slot's store) or
+    ``seq`` is the program-global sequence number (1-based, dense).
+    ``op`` is ``"spec"`` (execute ``spec`` against the slot's store) or
     ``"pred-install"`` (merge ``payload`` — redistributed predecessor
-    vectors — into the slot's store).  ``deps`` are the seqs whose
-    results this instruction's reads require; a work queue must not
-    deliver it before they are done.
+    vectors — into the slot's store).
     """
 
     seq: int
-    step: int
     slot: int
-    label: str
     op: str = "spec"
     spec: SuperstepSpec | None = None
     payload: Any = None
-    reads: tuple[str, ...] = ()
-    writes: tuple[str, ...] = ()
-    deps: tuple[int, ...] = ()
-
-
-@dataclass
-class _Recorded:
-    result: SpecResult | None = None
 
 
 class InstructionProgram:
-    """Append-only compiled program + first-wins result ledger.
+    """Append-only compiled program + the set of recorded seqs.
 
-    Thread-safe: runners record results concurrently while the driver
-    compiles the next superstep.  ``record_result`` is **first-wins** —
-    the driver-side half of the idempotency contract: when a duplicate
-    delivery races the original, exactly one result is kept, and it is
-    bit-identical to the other by spec determinism.
+    Thread-safe: a pool shared by several solves runs every session's
+    rebuild hook on whichever thread hit the crash, so one program's
+    journal may be read while its own driver thread compiles.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._instructions: list[Instruction] = []  # guarded-by: self._lock
+        self._seq = 0  # guarded-by: self._lock
         self._by_slot: dict[int, list[Instruction]] = {}  # guarded-by: self._lock
-        self._recorded: dict[int, _Recorded] = {}  # guarded-by: self._lock
-        self._last_write: dict[str, int] = {}  # guarded-by: self._lock
+        self._recorded: set[int] = set()  # guarded-by: self._lock
         self._step = 0  # guarded-by: self._lock
 
     # -- compiling ------------------------------------------------------
     def add_superstep(
-        self, specs: Sequence[SuperstepSpec], label: str = ""
+        self, specs: Sequence[SuperstepSpec]
     ) -> tuple[int, list[Instruction]]:
         """Compile one superstep's specs; returns ``(step, instructions)``.
 
         The step counter increments on every call — traced or not — so
         superstep numbering can never skew between trace spans, metrics
         records and instruction seqs.
-
-        Dependency edges follow barrier semantics: every read (and
-        write-after-write) resolves against the last writer *as of the
-        previous barrier* — a fix-up instruction's boundary input is
-        snapshotted into its spec, so its neighbour's same-superstep
-        write must not become an edge (it would falsely chain the
-        fix-up wave and serialize the runners).
         """
         with self._lock:
             self._step += 1
-            step = self._step
             instrs: list[Instruction] = []
-            pre_step_writes = dict(self._last_write)
             for spec in specs:
-                seq = len(self._instructions) + 1
-                reads, writes = _dataflow(spec)
-                deps = sorted(
-                    {
-                        pre_step_writes[s]
-                        for s in (*reads, *writes)
-                        if s in pre_step_writes
-                    }
-                )
-                instr = Instruction(
-                    seq=seq,
-                    step=step,
-                    slot=spec.proc,
-                    label=label,
-                    op="spec",
-                    spec=spec,
-                    reads=reads,
-                    writes=writes,
-                    deps=tuple(deps),
-                )
-                self._instructions.append(instr)
+                self._seq += 1
+                instr = Instruction(seq=self._seq, slot=spec.proc, spec=spec)
                 self._by_slot.setdefault(spec.proc, []).append(instr)
-                for s in writes:
-                    self._last_write[s] = seq
                 instrs.append(instr)
-            return step, instrs
+            return self._step, instrs
 
-    def add_install(self, slot: int, payload: Any, label: str = "pred-install") -> Instruction:
+    def add_install(self, slot: int, payload: Any) -> Instruction:
         """Journal a driver-mediated predecessor install for ``slot``.
 
         Installs are synchronous (the driver barriers on them before
-        compiling any instruction that could read them), so they carry
-        no dataflow edges and do not register as last writers — they
-        exist so crash recovery replays them in slot order.
+        compiling any instruction that could read them); they are
+        journalled so crash recovery replays them in slot order.
         """
         with self._lock:
-            seq = len(self._instructions) + 1
+            self._seq += 1
             instr = Instruction(
-                seq=seq,
-                step=self._step,
-                slot=slot,
-                label=label,
-                op="pred-install",
-                payload=payload,
-                writes=(f"pred:{slot}",),
+                seq=self._seq, slot=slot, op="pred-install", payload=payload
             )
-            self._instructions.append(instr)
             self._by_slot.setdefault(slot, []).append(instr)
             return instr
 
-    # -- the result ledger ---------------------------------------------
-    def record_result(self, seq: int, result: SpecResult | None = None) -> bool:
-        """Record ``seq``'s result; first delivery wins.
+    # -- the recorded set -----------------------------------------------
+    def record(self, seq: int) -> bool:
+        """Mark ``seq`` as having completed a barrier (idempotent).
 
-        Returns True when this call recorded (first delivery), False
-        when the seq was already recorded (duplicate — a no-op).
+        Returns ``True`` only for the first record of ``seq``: a repeat
+        delivery's result never counts twice.
         """
         with self._lock:
-            if seq in self._recorded:
-                return False
-            self._recorded[seq] = _Recorded(result)
-            return True
+            first = seq not in self._recorded
+            self._recorded.add(seq)
+            return first
 
     def is_recorded(self, seq: int) -> bool:
         with self._lock:
             return seq in self._recorded
-
-    def result(self, seq: int) -> SpecResult | None:
-        with self._lock:
-            rec = self._recorded.get(seq)
-            return rec.result if rec is not None else None
 
     # -- introspection --------------------------------------------------
     @property
@@ -219,14 +123,6 @@ class InstructionProgram:
         with self._lock:
             return self._step
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._instructions)
-
-    def instructions(self) -> list[Instruction]:
-        with self._lock:
-            return list(self._instructions)
-
     def slot_history(self, slot: int) -> list[Instruction]:
         """Every instruction compiled for ``slot``, in program order.
 
@@ -234,8 +130,7 @@ class InstructionProgram:
         a respawned worker owning ``slot``: re-running the recorded
         prefix rebuilds the slot's resident state bit-identically
         (spec determinism), while in-flight instructions — compiled but
-        not recorded — are excluded, matching PR 2's
-        journal-after-barrier discipline.
+        not recorded — are excluded.
         """
         with self._lock:
             return list(self._by_slot.get(slot, ()))

@@ -2,31 +2,28 @@
 
 A :class:`SuperstepRuntime` turns the plan layer's declarative
 :class:`~repro.ltdp.engine.specs.SuperstepSpec` lists into executed
-supersteps.  Since the store/program/runner split, a runtime is thin
-glue between three owning layers:
+supersteps.  A runtime is thin glue between two owning layers:
 
 - the **store** (:mod:`repro.ltdp.engine.store`) owns stage state —
   driver-resident (:class:`~repro.ltdp.engine.store.DriverStore`) here,
   worker-resident in :class:`~repro.ltdp.engine.poolrt.PoolRuntime`;
 - the **program** (:mod:`repro.ltdp.engine.program`) owns superstep
-  numbering, instruction seqs/dependencies and the first-wins result
-  ledger;
-- the **runners** (:mod:`repro.ltdp.engine.runner`) own concurrent
-  execution: with ``runners > 1`` (or a non-default
-  :class:`~repro.ltdp.engine.runner.DeliveryPolicy`) instructions are
-  pulled from a shared work queue by N runner threads instead of the
-  classic one-batch-per-barrier executor call.
+  numbering, instruction seqs and the per-slot replay journal.
 
-Two implementations ship:
+Each superstep is one bulk-synchronous step (paper Figs 4/5): its
+specs are independent, so a runtime hands the whole list to its
+executor in one batch and applies the results after the barrier.  Two
+implementations ship:
 
 - :class:`LocalRuntime` — stage state lives in the driver process;
   specs are wrapped in closures and handed to a classic
-  :class:`~repro.machine.executor.Executor` (serial / thread pool), or
-  executed directly by runner threads when a crew is active.
+  :class:`~repro.machine.executor.Executor` (serial / thread pool)
+  through ``run_superstep``.
 - :class:`~repro.ltdp.engine.poolrt.PoolRuntime` — stage state lives
   *inside* persistent worker processes
   (:class:`~repro.machine.pool.PoolProcessExecutor`); only instructions
-  and boundary vectors cross process boundaries.
+  and boundary vectors cross process boundaries, one batched
+  ``call_slots`` dispatch per superstep.
 
 The driver (:mod:`repro.ltdp.engine.driver`) picks the runtime from the
 executor's capabilities, so ``solve_parallel``'s signature and results
@@ -43,7 +40,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.ltdp.engine.program import InstructionProgram
-from repro.ltdp.engine.runner import DeliveryPolicy, RunnerCrew
 from repro.ltdp.engine.specs import SpecResult, SuperstepSpec
 from repro.ltdp.engine.store import DriverStore
 from repro.ltdp.partition import StageRange
@@ -52,13 +48,6 @@ from repro.machine.executor import Executor
 from repro.machine.trace import NULL_TRACER, Tracer
 
 __all__ = ["SuperstepRuntime", "LocalRuntime"]
-
-
-def _wants_crew(runners: int, delivery: DeliveryPolicy | None) -> bool:
-    """A crew is spun up for real concurrency *or* redelivery testing."""
-    if runners < 1:
-        raise ValueError(f"runners must be >= 1, got {runners}")
-    return runners > 1 or (delivery is not None and not delivery.is_default)
 
 
 class SuperstepRuntime(ABC):
@@ -123,13 +112,9 @@ class SuperstepRuntime(ABC):
 class LocalRuntime(SuperstepRuntime):
     """Driver-resident state + any closure-running executor.
 
-    With ``runners > 1`` (or a redelivery-testing
-    :class:`~repro.ltdp.engine.runner.DeliveryPolicy`), supersteps run
-    through a :class:`~repro.ltdp.engine.runner.RunnerCrew`: instructions
-    are pulled from the shared work queue and executed *in the runner
-    threads* against the shared :class:`DriverStore` — safe because
-    specs only read their own range and buffer all writes, which the
-    driver applies after the barrier in spec order.
+    Specs share one :class:`DriverStore`: they only read their own
+    range and buffer every write in their result, which :meth:`run`
+    applies after the barrier in spec order.
     """
 
     def __init__(
@@ -137,47 +122,22 @@ class LocalRuntime(SuperstepRuntime):
         executor: Executor,
         problem: LTDPProblem,
         tracer: Tracer | None = None,
-        runners: int = 1,
-        delivery: DeliveryPolicy | None = None,
     ) -> None:
         self.executor = executor
         self.problem = problem
         self.state = DriverStore(problem)
         self.tracer = tracer or NULL_TRACER
         self.program = InstructionProgram()
-        self._crew: RunnerCrew | None = None
-        if _wants_crew(runners, delivery):
-            self._crew = RunnerCrew(
-                runners,
-                self._execute_instr,
-                self.program,
-                tracer=self.tracer,
-                policy=delivery,
-            )
-            # Teardown ordering (PR 2 weakref.finalize path): the crew
-            # must drain/abandon before the executor tears down.
-            if hasattr(executor, "add_teardown_hook"):
-                executor.add_teardown_hook(self._crew.close)
 
     @property
     def step_no(self) -> int:
         return self.program.step_no
 
-    def _execute_instr(self, instr) -> SpecResult:
-        """Runner-crew transport: execute one instruction inline.
-
-        Duplicate deliveries are harmless here: the spec reads only
-        pre-barrier store contents (writes are buffered in the result),
-        so a re-execution computes a bit-identical result and the
-        program's first-wins ledger keeps exactly one.
-        """
-        return instr.spec.execute(self.problem, self.state)
-
     def run(
         self, specs: Sequence[SuperstepSpec], label: str = ""
     ) -> list[SpecResult]:
         problem, store, tracer = self.problem, self.state, self.tracer
-        step_no, instrs = self.program.add_superstep(specs, label)
+        step_no, instrs = self.program.add_superstep(specs)
 
         def task(spec: SuperstepSpec) -> SpecResult:
             # The classic executors (serial / thread) run tasks in this
@@ -195,12 +155,7 @@ class LocalRuntime(SuperstepRuntime):
             return result
 
         t0 = time.perf_counter()
-        if self._crew is not None:
-            results = self._crew.run_step(instrs)
-        else:
-            results = self.executor.run_superstep([partial(task, s) for s in specs])
-            for instr, result in zip(instrs, results):
-                self.program.record_result(instr.seq, result)
+        results = self.executor.run_superstep([partial(task, s) for s in specs])
         tracer.add_span(
             "superstep",
             t0,
@@ -210,7 +165,7 @@ class LocalRuntime(SuperstepRuntime):
             procs=len(specs),
         )
         # Post-barrier application, in spec order regardless of which
-        # runner finished first — the store's seq guard additionally
+        # task finished first — the store's seq guard additionally
         # makes a re-applied result a no-op.
         for instr, result in zip(instrs, results):
             store.apply(result, seq=instr.seq)
@@ -224,10 +179,3 @@ class LocalRuntime(SuperstepRuntime):
 
     def pred_vectors(self) -> list[np.ndarray | None]:
         return self.state.rows("pred", self.problem.num_stages)
-
-    def finish(self) -> None:
-        if self._crew is not None:
-            self._crew.close()
-            if hasattr(self.executor, "remove_teardown_hook"):
-                self.executor.remove_teardown_hook(self._crew.close)
-            self._crew = None

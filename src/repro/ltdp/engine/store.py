@@ -1,13 +1,9 @@
 """The state-store layer: who *owns* stage state, behind one interface.
 
-Before this layer existed, state ownership was welded to spec
-execution: :class:`LocalRuntime` owned a driver-resident ``EngineState``
-and the pool runtime owned an unrelated per-slot worker store, each
-with its own ``apply`` discipline.  The refactor pulls both behind
-:class:`StateStore` — the :class:`~repro.ltdp.engine.specs.StageStore`
-read protocol plus idempotent post-barrier application — so the program
-and runner layers can treat "where the vectors live" as a deployment
-detail:
+Both runtimes hold stage state behind :class:`StateStore` — the
+:class:`~repro.ltdp.engine.specs.StageStore` read protocol plus
+idempotent post-barrier application — so the program layer and the
+specs can treat "where the vectors live" as a deployment detail:
 
 - :class:`DriverStore` — all stages in the driver process, shared by
   every spec (safe because specs only read their own range and all

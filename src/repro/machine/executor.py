@@ -127,8 +127,7 @@ class Executor(ABC):
         return executor_capability(self, name)
 
     # -- closed-state guard ----------------------------------------------
-    # Lazy attribute (like the teardown hooks below): ABC subclasses
-    # don't all chain __init__.
+    # Lazy attribute: ABC subclasses don't all chain __init__.
 
     @property
     def closed(self) -> bool:
@@ -144,43 +143,12 @@ class Executor(ABC):
                 "again)"
             )
 
-    # -- teardown hooks --------------------------------------------------
-    # Higher layers that park threads on this executor's transport (the
-    # runner crew pulling from a work queue) register a hook so close()
-    # drains them *before* the transport disappears underneath them.
-    # Lazy storage: ABC subclasses don't all chain __init__.
-
-    def add_teardown_hook(self, hook: Callable[[], None]) -> None:
-        """Register ``hook`` to run first when this executor closes."""
-        hooks = getattr(self, "_teardown_hooks", None)
-        if hooks is None:
-            hooks = []
-            self._teardown_hooks = hooks
-        hooks.append(hook)
-
-    def remove_teardown_hook(self, hook: Callable[[], None]) -> None:
-        """Deregister ``hook`` (no-op when absent — finish() after close())."""
-        hooks = getattr(self, "_teardown_hooks", None)
-        if hooks and hook in hooks:
-            hooks.remove(hook)
-
-    def _drain_teardown_hooks(self) -> None:
-        """Pop and run every registered hook; called at the top of close()."""
-        hooks = getattr(self, "_teardown_hooks", None)
-        while hooks:
-            hook = hooks.pop()
-            try:
-                hook()
-            except Exception:  # repro: noqa[REP005]: teardown must reach the transport shutdown even if a hook fails
-                pass
-
     def close(self) -> None:
         """Release any worker resources and mark the executor closed.
 
         Idempotent; subsequent :meth:`run_superstep` calls raise
         :class:`ExecutorError`.
         """
-        self._drain_teardown_hooks()
         self._closed = True
 
     def __enter__(self) -> "Executor":
@@ -231,11 +199,6 @@ class ThreadExecutor(Executor):
         return results
 
     def close(self) -> None:
-        # Drain runner crews first: a crew thread blocked on the work
-        # queue must observe abandonment before the pool stops accepting
-        # work, or shutdown(wait=True) could wait on tasks that never
-        # finish.
-        self._drain_teardown_hooks()
         self._pool.shutdown(wait=True)
         self._closed = True
 

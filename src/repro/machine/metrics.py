@@ -50,9 +50,7 @@ RECORD_PHASES = frozenset({PHASE_FORWARD, PHASE_BACKWARD})
 TRACE_PHASES = frozenset({PHASE_FORWARD, PHASE_OBJECTIVE, PHASE_BACKWARD})
 
 #: Legal tracer span names.  ``phase``/``superstep``/``compute``/
-#: ``dispatch`` are the classic superstep-loop spans; ``runner.pull``
-#: and ``program.instr`` are the runner-layer spans (one per queue pull
-#: and one per executed instruction).  The static checker (REP004)
+#: ``dispatch`` are the superstep-loop spans.  The static checker (REP004)
 #: enforces membership at literal ``tracer.span``/``add_span`` sites so
 #: a new layer cannot introduce spans that trace summaries and the
 #: bench harness' coverage check silently ignore.
@@ -64,8 +62,6 @@ TRACE_SPAN_NAMES = frozenset(
         "superstep",
         "compute",
         "dispatch",
-        "runner.pull",
-        "program.instr",
         "serve.request",
         "serve.batch",
     }

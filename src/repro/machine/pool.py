@@ -35,9 +35,9 @@ a reply with a plain blocking ``recv_bytes`` (no polling loop): a
 worker that dies closes its end of the pipe, so the read ends in EOF,
 which is reported as a crash and triggers **automatic respawn** with
 bounded retry/backoff.  After a respawn the
-registered *rebuild hooks* (one per resident session, registered by
+registered *rebuild hooks* (one per in-flight solve, registered by
 LTDP pool runtimes via :meth:`add_rebuild_hook`) re-ship each
-session's problem and replay the dead slots' journalled supersteps,
+solve's problem and replay the dead slots' journalled supersteps,
 reconstructing resident state bit-identically before the in-flight
 message is re-sent.  Recovery counters accumulate on
 :attr:`recovery_stats`.
@@ -200,7 +200,8 @@ class PoolProcessExecutor(Executor):
 
     #: Shared mutable state and the lock that guards it (checked
     #: statically by ``repro lint`` REP007).  Everything here is touched
-    #: by concurrent runner threads; ``_broken`` additionally has two
+    #: by every thread that dispatches on a shared pool (several solves
+    #: or serve requests at once); ``_broken`` additionally has two
     #: deliberate lock-free fast paths, waived at the access sites.
     guarded_fields = {
         "_seq": "_state_lock",
@@ -255,11 +256,11 @@ class PoolProcessExecutor(Executor):
         self._procs: list[Any] = []
         self._conns: list[Any] = []
         self._finalizer: weakref.finalize | None = None
-        # Concurrency: multiple runner threads may dispatch at once
-        # (instruction-at-a-time mode).  The state lock guards the
-        # shared counters / fault plan / spawn bookkeeping; per-worker
-        # locks serialize pipe traffic so two dispatches to one worker
-        # can never interleave frames.  RLocks: recovery paths nest
+        # Concurrency: callers on several threads may share one pool
+        # and dispatch at once.  The state lock guards the shared
+        # counters / fault plan / spawn bookkeeping; per-worker locks
+        # serialize pipe traffic so two dispatches to one worker can
+        # never interleave frames.  RLocks: recovery paths nest
         # (dispatch → recover → ping) on the same worker.
         self._state_lock = threading.RLock()
         # Per-worker locks exist to serialize pipe I/O; blocking under
@@ -270,8 +271,8 @@ class PoolProcessExecutor(Executor):
         #: Total ``_dispatch`` invocations; fault plans key off this.
         self.dispatch_count = 0
         self._broken: str | None = None
-        # Rebuild hooks, keyed by owner (one per resident session so
-        # several sessions can share the pool); insertion-ordered.
+        # Rebuild hooks, keyed by owner (one per pool runtime, so
+        # several in-flight solves can share the pool); insertion-ordered.
         self._rebuild_hooks: dict[Any, Callable[[int], tuple[list, int]]] = {}
         # Span tracer (set by the LTDP pool runtime while a solve is in
         # flight).  ``None`` or a disabled tracer keeps every dispatch
@@ -349,7 +350,7 @@ class PoolProcessExecutor(Executor):
         worker before the in-flight message is re-sent), and the number
         of journalled supersteps those calls replay (for
         :attr:`recovery_stats` accounting).  Multiple owners — one per
-        resident session sharing the pool — may register concurrently;
+        pool runtime sharing the pool — may register concurrently;
         a respawn runs every registered hook, in registration order.
         """
         with self._state_lock:
@@ -581,7 +582,7 @@ class PoolProcessExecutor(Executor):
         """
         self._ensure_workers()
         self._check_broken()
-        # Serialize pipe traffic per worker: concurrent runner threads
+        # Serialize pipe traffic per worker: concurrent callers
         # dispatching to the same worker take turns (sorted acquisition
         # order keeps multi-worker dispatches deadlock-free).
         locks = [self._worker_locks[w] for w in sorted(per_worker)]
@@ -911,15 +912,11 @@ class PoolProcessExecutor(Executor):
         executor is garbage-collected or the interpreter exits, via the
         ``weakref.finalize`` registered at spawn time.
 
-        Teardown ordering: registered teardown hooks (runner crews)
-        drain first — while the workers are still alive, so in-flight
-        instructions can finish or fail cleanly — and ``_closing``
-        blocks respawns from the moment teardown starts.
+        ``_closing`` blocks respawns from the moment teardown starts.
         """
         with self._state_lock:
             self._closing = True
             self._closed = True
-        self._drain_teardown_hooks()
         finalizer = self._finalizer
         self._finalizer = None
         if finalizer is not None:

@@ -17,6 +17,7 @@ from repro.ltdp.engine.driver import ParallelOptions, solve_parallel
 from repro.machine.executor import get_executor
 from repro.machine.pool import PoolProcessExecutor
 from repro.machine.trace import NULL_TRACER, Tracer
+from tests.redelivery import redelivering
 
 NUM_PROCS = 3
 SEED = 11
@@ -43,11 +44,12 @@ def traced_solve(problem, executor, tracer, **kwargs):
     ],
 )
 def test_one_superstep_span_per_recorded_superstep(problem, kind, runners):
-    """Classic dispatch (one runner) and the runner crew share one
-    superstep path per runtime; both record one span per superstep."""
+    """Each runtime has one superstep path; it records one span per
+    superstep, also when a crew of redundant runners delivers every
+    superstep twice."""
     tracer = Tracer()
-    with get_executor(kind, max_workers=2) as ex:
-        traced = traced_solve(problem, ex, tracer, runners=runners)
+    with redelivering(kind, runners=runners) as ex:
+        traced = traced_solve(problem, ex, tracer)
     with get_executor("serial") as ex:
         base = traced_solve(problem, ex, None)
 
@@ -140,9 +142,9 @@ def test_disabled_tracer_records_nothing_end_to_end(problem):
 @pytest.mark.parametrize("runners", [1, 2])
 def test_untraced_solve_leaves_null_tracer_empty(problem, kind, runners):
     """Untraced layers call the shared NULL_TRACER unconditionally; it
-    must never accumulate records."""
-    with get_executor(kind, max_workers=2) as ex:
-        traced_solve(problem, ex, None, runners=runners)
+    must never accumulate records, repeated deliveries included."""
+    with redelivering(kind, runners=runners) as ex:
+        traced_solve(problem, ex, None)
     assert NULL_TRACER.spans == [] and NULL_TRACER.events == []
 
 

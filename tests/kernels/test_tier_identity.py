@@ -3,8 +3,9 @@
 The tier axis of the PR 5 equivalence matrix: every (executor x
 problem) cell must produce byte-identical results with the block-kernel
 tier forced on, forced off, and in auto mode — including §4.7 delta
-mode, adversarial instruction delivery (duplicates, LIFO ready-queue),
-and a worker SIGKILLed mid-program.  The fast path must be invisible in
+mode, adversarial instruction delivery (every superstep delivered
+twice, the repeat in reverse order, or once in reverse order), and a
+worker SIGKILLed mid-program.  The fast path must be invisible in
 everything except the wall clock: path, score, fix-up iteration counts
 and the per-processor work ledger all join the comparison.
 """
@@ -14,7 +15,6 @@ import pytest
 
 from repro.datagen.packets import make_received_packet
 from repro.datagen.sequences import homologous_pair
-from repro.ltdp.engine.runner import DeliveryPolicy
 from repro.ltdp.engine.driver import ParallelOptions, solve_parallel
 from repro.ltdp.sequential import solve_sequential
 from repro.machine.executor import get_executor
@@ -22,6 +22,11 @@ from repro.machine.pool import PoolProcessExecutor
 from repro.problems.alignment.lcs import LCSProblem
 from repro.problems.alignment.needleman_wunsch import NeedlemanWunschProblem
 from repro.problems.convolutional import VOYAGER
+from tests.redelivery import (
+    DuplicatingPool,
+    DuplicatingSerialExecutor,
+    DuplicatingThreadExecutor,
+)
 
 NUM_PROCS = 3
 SEED = 11
@@ -116,40 +121,30 @@ class TestTierAxis:
 
 
 class TestTierUnderAdversarialDelivery:
-    @pytest.mark.parametrize("name", ["nw", "viterbi"])
+    @pytest.mark.parametrize("name", ["nw", "viterbi", "lcs"])
     def test_duplicate_delivery(self, name, dense_baselines):
-        with get_executor("thread", max_workers=2) as ex:
-            got = solve_with(
-                PROBLEMS[name],
-                ex,
-                use_kernels=True,
-                runners=3,
-                delivery=DeliveryPolicy(duplicates=2),
-            )
+        """Each superstep runs twice on the driver-resident store, the
+        repeat in reverse (LIFO) order; both passes must agree."""
+        with DuplicatingSerialExecutor() as ex:
+            got = solve_with(PROBLEMS[name], ex, use_kernels=True)
+            assert ex.repeats > 0
         assert_identical(got, dense_baselines[name])
 
     @pytest.mark.parametrize("name", ["lcs", "viterbi"])
     def test_lifo_delivery(self, name, dense_baselines):
-        with get_executor("thread", max_workers=2) as ex:
-            got = solve_with(
-                PROBLEMS[name],
-                ex,
-                use_kernels=True,
-                runners=4,
-                delivery=DeliveryPolicy(order="lifo"),
-            )
+        """Every superstep's tasks run in reverse order on the thread
+        pool."""
+        with DuplicatingThreadExecutor(max_workers=2, runners=1, lifo=True) as ex:
+            got = solve_with(PROBLEMS[name], ex, use_kernels=True)
+            assert ex.reversals > 0
         assert_identical(got, dense_baselines[name])
 
     def test_duplicates_on_pool_with_delta(self, dense_baselines):
-        with PoolProcessExecutor(max_workers=2) as ex:
+        with DuplicatingPool(max_workers=2) as ex:
             got = solve_with(
-                PROBLEMS["nw"],
-                ex,
-                use_kernels=True,
-                use_delta=True,
-                runners=2,
-                delivery=DeliveryPolicy(duplicates=2),
+                PROBLEMS["nw"], ex, use_kernels=True, use_delta=True
             )
+            assert ex.repeats > 0
         base = dense_baselines["nw"]
         np.testing.assert_array_equal(got.path, base.path)
         assert got.score == base.score

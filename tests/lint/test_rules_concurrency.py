@@ -3,7 +3,7 @@
 Trigger AND near-miss fixtures for each rule — the near-misses are the
 annotations' whole value proposition: caller-locked methods, transport
 -role locks and own-condition waits are exactly the legitimate patterns
-the live runner/pool/serve code uses.
+the live engine/pool/serve code uses.
 """
 
 from tests.lint.conftest import codes, run_lint, run_lint_files
@@ -459,7 +459,7 @@ class TestBlockingUnderLockNearMisses:
 
     def test_waiting_on_own_condition_is_exempt(self):
         # Condition.wait_for releases the condition it blocks on — the
-        # canonical WorkQueue.pull pattern.
+        # canonical pattern of a consumer waiting for work.
         r = run_lint(
             FAKE,
             """\

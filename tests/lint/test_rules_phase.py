@@ -73,8 +73,8 @@ class TestNearMisses:
 
     def test_canonical_span_names_accepted(self):
         src = (
-            'tracer.span("runner.pull", runner=1)\n'
-            'tracer.span("program.instr", seq=3)\n'
+            'tracer.span("superstep", superstep=1)\n'
+            'tracer.span("serve.request", seq=3)\n'
             'tracer.span("dispatch")\n'
         )
         assert codes(run_lint(PATH, src)) == []

@@ -1,33 +1,36 @@
 """Redelivery contract: instruction programs are idempotent under faults.
 
-The runner layer's promise (numpywren's ``FailureTests`` contract): a
-solve driven by N concurrent runners pulling instructions from the
-shared work queue is bit-identical to the serial executor — including
-when every instruction is delivered *twice*, when ready instructions
-are delivered in LIFO order wherever the dependency DAG allows it, and
-when a pool worker is SIGKILLed mid-program.  Metrics stay a property
-of the *plan*: work rows and communicated bytes must not notice the
-runner count.
+numpywren's ``FailureTests`` contract: a solve whose every superstep is
+delivered by a crew of redundant runners — each runner delivering every
+task, every other runner in reverse (LIFO) order — is bit-identical to
+the plain serial solve, on driver-resident state and on worker-resident
+state, and also when a pool worker is SIGKILLed mid-program.  Metrics
+stay a property of the *plan*: work rows, superstep labels and
+communicated bytes must not notice the runner count.  The fakes live in
+:mod:`tests.redelivery`.
 
-Also pins the teardown ordering satellite (closing an executor
-mid-program drains the runner crew first, without deadlock or leaked
-workers) and the superstep-numbering fix (the program counter advances
-identically whether or not tracing is on).
+Also pins the worker-side reply cache directly (a re-sent seq returns
+the cached stripped reply and leaves the slot's segments alone), the
+teardown contract (a runtime whose executor was closed mid-program
+raises instead of hanging, and leaks no worker) and the superstep
+numbering (the program counter advances identically whether or not
+tracing is on).
 """
 
 import multiprocessing as mp
-import threading
-import time
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ExecutorError
-from repro.ltdp.engine.forward import plan_initial_pass
-from repro.ltdp.engine.program import InstructionProgram
-from repro.ltdp.engine.runner import DeliveryPolicy, RunnerCrew
-from repro.ltdp.matrix_problem import random_matrix_problem
 from repro.ltdp.engine.driver import ParallelOptions, solve_parallel
+from repro.ltdp.engine.forward import plan_initial_pass
+from repro.ltdp.engine.poolrt import PoolRuntime, _w_reset, _w_run_instr
+from repro.ltdp.engine.program import InstructionProgram
+from repro.ltdp.engine.runtime import LocalRuntime
+from repro.ltdp.engine.specs import ForwardInitSpec
+from repro.ltdp.matrix_problem import random_matrix_problem
 from repro.ltdp.partition import partition_stages
 from repro.machine.executor import ThreadExecutor, get_executor
 from repro.machine.pool import PoolProcessExecutor
@@ -35,6 +38,7 @@ from repro.machine.trace import Tracer
 from repro.problems.alignment.lcs import LCSProblem
 from repro.problems.alignment.needleman_wunsch import NeedlemanWunschProblem
 from repro.problems.alignment.smith_waterman import SmithWatermanProblem
+from tests.redelivery import DuplicatingThreadExecutor, redelivering
 
 NUM_PROCS = 4
 SEED = 17
@@ -73,6 +77,7 @@ def serial_solutions():
 
 
 def assert_identical(got, base):
+    """Answer, fix-up schedule and the metrics ledger all match."""
     np.testing.assert_array_equal(got.path, base.path)
     assert got.score == base.score
     assert got.objective_stage == base.objective_stage
@@ -81,28 +86,42 @@ def assert_identical(got, base):
     assert m.forward_fixup_iterations == b.forward_fixup_iterations
     assert m.backward_fixup_iterations == b.backward_fixup_iterations
     assert m.fixup_stages == b.fixup_stages
+    assert m.num_barriers == b.num_barriers
+    assert m.work_by_processor() == b.work_by_processor()
+    assert m.bytes_communicated == b.bytes_communicated
+    assert [s.label for s in m.supersteps] == [s.label for s in b.supersteps]
+    assert [s.step for s in m.supersteps] == [s.step for s in b.supersteps]
+
+
+def check_delta_mode(name, kind, serial_solutions, use_kernels, runners):
+    """§4.7 delta mode under redelivery: sparse boundary diffs are
+    snapshotted into the specs at compile time, and a double-applied
+    sparse fix-up would corrupt the resident stage vectors, so the
+    worker's per-seq reply cache must absorb every repeat."""
+    with redelivering(kind, runners=runners) as ex:
+        got = solve_with(PROBLEMS[name], ex, use_delta=True, use_kernels=use_kernels)
+        assert ex.repeats > 0
+    base = serial_solutions[name]
+    np.testing.assert_array_equal(got.path, base.path)
+    assert got.score == base.score
 
 
 class TestMultiRunnerBitIdentity:
-    """runners=4 must be invisible in every result, on every runtime."""
+    """A crew of four runners must be invisible in every result, on
+    every runtime."""
 
     @pytest.mark.parametrize("kind", ["serial", "thread", "pool"])
     @pytest.mark.parametrize("name", list(PROBLEMS))
     def test_four_runners_bit_identical(self, name, kind, serial_solutions):
-        ex = get_executor(kind, max_workers=2)
-        try:
-            got = solve_with(PROBLEMS[name], ex, runners=4)
-        finally:
-            ex.close()
+        with redelivering(kind, runners=4) as ex:
+            got = solve_with(PROBLEMS[name], ex)
+            assert ex.repeats > 0 and ex.reversals > 0
         assert_identical(got, serial_solutions[name])
 
     @pytest.mark.parametrize("kind", ["serial", "pool"])
     @pytest.mark.parametrize("name", ["lcs", "nw", "matrix", "sw"])
     def test_four_runners_delta_mode(self, name, kind, serial_solutions):
-        """§4.7 delta mode composes with concurrent runners: sparse
-        boundary diffs are snapshotted into the specs at compile time,
-        so runner scheduling cannot perturb them."""
-        self._check_delta_mode(name, kind, serial_solutions, None)
+        check_delta_mode(name, kind, serial_solutions, None, runners=4)
 
     @pytest.mark.parametrize("kind", ["serial", "pool"])
     @pytest.mark.parametrize("name", ["lcs", "nw"])
@@ -111,32 +130,16 @@ class TestMultiRunnerBitIdentity:
     ):
         """The same with the kernel tier off: LCS / NW fix-ups run the
         per-stage sparse kernel against resident state."""
-        self._check_delta_mode(name, kind, serial_solutions, False)
-
-    @staticmethod
-    def _check_delta_mode(name, kind, serial_solutions, use_kernels):
-        ex = get_executor(kind, max_workers=2)
-        try:
-            got = solve_with(
-                PROBLEMS[name],
-                ex,
-                runners=4,
-                use_delta=True,
-                use_kernels=use_kernels,
-            )
-        finally:
-            ex.close()
-        base = serial_solutions[name]
-        np.testing.assert_array_equal(got.path, base.path)
-        assert got.score == base.score
+        check_delta_mode(name, kind, serial_solutions, False, runners=4)
 
     @pytest.mark.parametrize("name", list(PROBLEMS))
     def test_metrics_are_runner_count_independent(self, name):
         """Work rows, superstep labels and communicated bytes are
         planner products; the runner count must not leak into them."""
-        with ThreadExecutor(max_workers=2) as ex:
-            one = solve_with(PROBLEMS[name], ex, runners=1).metrics
-            four = solve_with(PROBLEMS[name], ex, runners=4).metrics
+        with DuplicatingThreadExecutor(max_workers=2, runners=1) as ex:
+            one = solve_with(PROBLEMS[name], ex).metrics
+        with DuplicatingThreadExecutor(max_workers=2, runners=4) as ex:
+            four = solve_with(PROBLEMS[name], ex).metrics
         assert four.num_barriers == one.num_barriers
         assert four.work_by_processor() == one.work_by_processor()
         assert four.bytes_communicated == one.bytes_communicated
@@ -149,53 +152,37 @@ class TestMultiRunnerBitIdentity:
 
 
 class TestRedelivery:
-    """Every instruction delivered twice / out of order: still identical."""
+    """Every superstep delivered twice / out of order: still identical."""
 
     @pytest.mark.parametrize("kind", ["serial", "pool"])
     @pytest.mark.parametrize("name", list(PROBLEMS))
     def test_duplicate_delivery_bit_identical(self, name, kind, serial_solutions):
-        ex = get_executor(kind, max_workers=2)
-        try:
-            got = solve_with(
-                PROBLEMS[name],
-                ex,
-                runners=2,
-                delivery=DeliveryPolicy(duplicates=2),
-            )
-        finally:
-            ex.close()
+        """The repeat runs in reverse order (LIFO), which a correct
+        program must not observe either."""
+        with redelivering(kind) as ex:
+            got = solve_with(PROBLEMS[name], ex)
+            assert ex.repeats > 0
         assert_identical(got, serial_solutions[name])
 
     @pytest.mark.parametrize("name", list(PROBLEMS))
     def test_lifo_delivery_bit_identical(self, name, serial_solutions):
-        """Reversing ready-queue order reorders instructions wherever
-        the dependency DAG allows — which a correct program must not
-        observe."""
-        with ThreadExecutor(max_workers=2) as ex:
-            got = solve_with(
-                PROBLEMS[name],
-                ex,
-                runners=4,
-                delivery=DeliveryPolicy(order="lifo"),
-            )
+        """One runner delivering every superstep in reverse task order
+        reorders the specs of a barrier, which a correct program must
+        not observe."""
+        with DuplicatingThreadExecutor(max_workers=2, runners=1, lifo=True) as ex:
+            got = solve_with(PROBLEMS[name], ex)
+            assert ex.repeats == 0 and ex.reversals > 0
         assert_identical(got, serial_solutions[name])
 
     def test_duplicates_and_lifo_combined(self, serial_solutions):
-        with ThreadExecutor(max_workers=2) as ex:
-            got = solve_with(
-                PROBLEMS["sw"],
-                ex,
-                runners=3,
-                delivery=DeliveryPolicy(duplicates=2, order="lifo"),
-            )
+        with DuplicatingThreadExecutor(max_workers=2, runners=3, lifo=True) as ex:
+            got = solve_with(PROBLEMS["sw"], ex)
+            assert ex.repeats > 0 and ex.reversals > 0
         assert_identical(got, serial_solutions["sw"])
 
     def test_duplicate_delivery_with_delta_mode_on_pool(self, serial_solutions):
-        """Worker-resident §4.7 state is the sharpest idempotency test:
-        a double-applied sparse fix-up would corrupt the resident stage
-        vectors, so the worker's per-seq reply cache must absorb the
-        second delivery."""
-        self._check_duplicate_delta(serial_solutions, None)
+        """Worker-resident §4.7 state is the sharpest idempotency test."""
+        check_delta_mode("nw", "pool", serial_solutions, None, runners=2)
 
     @pytest.mark.parametrize("name", ["lcs", "nw"])
     def test_duplicate_delivery_with_per_stage_sparse_on_pool(
@@ -203,72 +190,49 @@ class TestRedelivery:
     ):
         """The same with the kernel tier off, so every fix-up repairs
         the resident state through the per-stage sparse kernel."""
-        self._check_duplicate_delta(serial_solutions, False, name)
-
-    @staticmethod
-    def _check_duplicate_delta(serial_solutions, use_kernels, name="nw"):
-        with PoolProcessExecutor(max_workers=2) as ex:
-            got = solve_with(
-                PROBLEMS[name],
-                ex,
-                runners=2,
-                use_delta=True,
-                use_kernels=use_kernels,
-                delivery=DeliveryPolicy(duplicates=2),
-            )
-        base = serial_solutions[name]
-        np.testing.assert_array_equal(got.path, base.path)
-        assert got.score == base.score
+        check_delta_mode(name, "pool", serial_solutions, False, runners=2)
 
     def test_delivery_policy_validates(self):
-        with pytest.raises(ValueError, match="duplicates"):
-            DeliveryPolicy(duplicates=0)
-        assert DeliveryPolicy().is_default
-        assert not DeliveryPolicy(duplicates=2).is_default
-        assert not DeliveryPolicy(order="lifo").is_default
+        """A crew without runners would deliver nothing; the fakes
+        refuse it rather than return an empty superstep."""
+        for kind in ("serial", "thread"):
+            with pytest.raises(ValueError, match="runners"):
+                redelivering(kind, runners=0)
+        with redelivering("serial", runners=1) as ex:
+            assert ex.run_superstep([lambda: 1, lambda: 2]) == [1, 2]
+            assert ex.repeats == 0 and ex.reversals == 0
+        with redelivering("serial", runners=1, lifo=True) as ex:
+            assert ex.run_superstep([lambda: 1, lambda: 2]) == [1, 2]
+            assert ex.reversals == 1
 
     def test_duplicates_visible_to_tracer(self):
-        """Each extra delivery surfaces as either an ``instr-duplicate``
-        event (already recorded) or a ``program.instr`` span flagged
-        ``duplicate`` (lost the record race) — never silently."""
+        """Each extra delivery runs as its own task and surfaces as its
+        own ``compute`` span — never silently."""
         tracer = Tracer()
-        with ThreadExecutor(max_workers=2) as ex:
-            solve_with(
-                PROBLEMS["matrix"],
-                ex,
-                runners=2,
-                tracer=tracer,
-                delivery=DeliveryPolicy(duplicates=2),
-            )
-        pulls = [s for s in tracer.spans if s.name == "runner.pull"]
-        firsts = [
-            s
-            for s in tracer.spans
-            if s.name == "program.instr" and not s.attrs.get("duplicate")
-        ]
-        dupes = len(
-            [s for s in tracer.spans if s.name == "program.instr" and s.attrs.get("duplicate")]
-        ) + len([e for e in tracer.events if e.name == "instr-duplicate"])
-        assert len(firsts) >= 1
-        assert dupes >= 1
-        assert len(pulls) == len(firsts) + dupes
-        assert len(pulls) == 2 * len(firsts)
+        with DuplicatingThreadExecutor(max_workers=2, runners=2) as ex:
+            solve_with(PROBLEMS["matrix"], ex, tracer=tracer)
+            repeats = ex.repeats
+        tasks = sum(
+            s.attrs["procs"] for s in tracer.spans if s.name == "superstep"
+        )
+        computes = [s for s in tracer.spans if s.name == "compute"]
+        assert tasks >= 1
+        assert repeats == tasks
+        assert len(computes) == 2 * tasks
 
 
 class TestRunnerFaultInjection:
-    """A pool worker SIGKILLed mid-program under concurrent runners."""
+    """A pool worker SIGKILLed mid-program while every batch repeats."""
 
     @pytest.mark.parametrize("seq,worker", [(2, 0), (4, 1)])
     def test_worker_kill_mid_program_recovers(
         self, seq, worker, serial_solutions
     ):
-        """With a crew, every instruction is its own dispatch, so a
-        fault-plan seq lands on whichever instruction drew that dispatch
-        number — the recovery contract must hold regardless."""
-        with PoolProcessExecutor(
-            max_workers=2, fault_plan={seq: worker}
-        ) as ex:
-            got = solve_with(PROBLEMS["matrix"], ex, runners=4)
+        """Dispatch 2 is the forward pass, dispatch 4 the first fix-up:
+        the rebuilt worker replays the recorded slot history and the
+        repeat of the killed batch is answered from its reply cache."""
+        with redelivering("pool", fault_plan={seq: worker}) as ex:
+            got = solve_with(PROBLEMS["matrix"], ex)
             assert ex.recovery_stats.respawns == 1
             assert ex.recovery_stats.retries >= 1
         assert_identical(got, serial_solutions["matrix"])
@@ -276,113 +240,73 @@ class TestRunnerFaultInjection:
 
     def test_worker_kill_with_duplicates(self, serial_solutions):
         """Crash recovery replays the recorded slot history through the
-        same ``_w_run_instr`` path duplicates use — both layers of
-        idempotency active at once."""
-        with PoolProcessExecutor(max_workers=2, fault_plan={3: 0}) as ex:
-            got = solve_with(
-                PROBLEMS["matrix"],
-                ex,
-                runners=2,
-                delivery=DeliveryPolicy(duplicates=2),
-            )
+        same ``_w_run_instr`` path repeats use — both layers of
+        idempotency active at once.  Dispatch 3 is the forward pass's
+        repeat: the rebuilt worker has no cached reply for it and
+        re-executes."""
+        with redelivering("pool", fault_plan={3: 0}) as ex:
+            got = solve_with(PROBLEMS["matrix"], ex)
             assert ex.recovery_stats.respawns == 1
         assert_identical(got, serial_solutions["matrix"])
 
 
 class TestTeardownOrdering:
-    """Closing mid-program must drain runners first: no deadlock, no leaks."""
-
-    def test_crew_close_unblocks_run_step(self):
-        program = InstructionProgram()
-        release = threading.Event()
-
-        def slow_execute(instr):
-            release.wait(timeout=10.0)
-            return None
-
-        crew = RunnerCrew(2, slow_execute, program)
-        _, instrs = program.add_superstep(
-            plan_initial_pass(
-                partition_stages(40, 2), ParallelOptions(num_procs=2)
-            ),
-            label="forward",
-        )
-        errors = []
-
-        def drive():
-            try:
-                crew.run_step(instrs)
-            except ExecutorError as exc:
-                errors.append(exc)
-
-        t = threading.Thread(target=drive)
-        t.start()
-        time.sleep(0.05)  # let runners pull and block in slow_execute
-        closer = threading.Thread(target=crew.close)
-        closer.start()
-        release.set()  # in-flight instructions finish; queued ones drop
-        closer.join(timeout=10.0)
-        t.join(timeout=10.0)
-        assert not closer.is_alive() and not t.is_alive()
-        assert crew.closed
+    """Closing mid-program: no deadlock, no leaked workers, clean errors."""
 
     def test_run_step_after_close_raises(self):
-        program = InstructionProgram()
-        crew = RunnerCrew(1, lambda instr: None, program)
-        crew.close()
-        crew.close()  # idempotent
-        _, instrs = program.add_superstep(
-            plan_initial_pass(
-                partition_stages(40, 2), ParallelOptions(num_procs=2)
-            ),
-            label="forward",
-        )
-        with pytest.raises(ExecutorError, match="closed"):
-            crew.run_step(instrs)
-
-    def test_thread_executor_close_drains_crew_via_hook(self):
-        """The crew registers its close as an executor teardown hook, so
-        an executor closed mid-program (PR 2's finalize path) abandons
-        the queue before the transport disappears."""
-        from repro.ltdp.engine.runtime import LocalRuntime
-
         ex = ThreadExecutor(max_workers=2)
-        runtime = LocalRuntime(ex, PROBLEMS["matrix"], runners=2)
+        runtime = LocalRuntime(ex, PROBLEMS["matrix"])
         ranges = partition_stages(PROBLEMS["matrix"].num_stages, 2)
         specs = plan_initial_pass(ranges, ParallelOptions(num_procs=2))
         runtime.run(specs, label="forward")
         ex.close()  # mid-program: runtime.finish() never called
-        assert runtime._crew.closed
+        ex.close()  # idempotent
         with pytest.raises(ExecutorError, match="closed"):
             runtime.run(specs, label="forward")
-        runtime.finish()  # still safe after the hook already closed it
+        runtime.finish()  # still safe after the executor closed
 
     def test_pool_close_mid_program_no_leaked_workers(self):
-        """Satellite (f): closing the pool mid-program neither deadlocks
-        (the crew's teardown hook runs first) nor leaks workers."""
-        from repro.ltdp.engine.poolrt import PoolRuntime
-
         problem = PROBLEMS["matrix"]
         ranges = partition_stages(problem.num_stages, 2)
         ex = PoolProcessExecutor(max_workers=2)
-        runtime = PoolRuntime(ex, problem, ranges, runners=2)
+        runtime = PoolRuntime(ex, problem, ranges)
         specs = plan_initial_pass(ranges, ParallelOptions(num_procs=2))
         runtime.run(specs, label="forward")
         pids = set(ex.worker_pids())
         ex.close()
-        assert runtime._crew.closed
         alive = {p.pid for p in mp.active_children()}
         assert not (pids & alive)
         with pytest.raises(ExecutorError):
             runtime.run(specs, label="forward")
 
-    def test_finish_unregisters_hook_and_close_stays_clean(self):
-        """The normal path: finish() closes the crew and unregisters its
-        hook, so a later executor close has nothing crew-shaped to do."""
-        with ThreadExecutor(max_workers=2) as ex:
-            got = solve_with(PROBLEMS["matrix"], ex, runners=4)
-            assert not getattr(ex, "_teardown_hooks", [])
-        assert got.path is not None
+
+class _MustNotRun(ForwardInitSpec):
+    """A spec whose execution fails the test: only the cache may answer."""
+
+    def execute(self, problem, store):
+        raise AssertionError("a re-sent seq must not execute again")
+
+
+class TestReplyCache:
+    def test_resent_seq_returns_cached_reply_and_leaves_segments(self):
+        problem = PROBLEMS["nw"]
+        ranges = partition_stages(problem.num_stages, 2)
+        (spec, _) = plan_initial_pass(ranges, ParallelOptions(num_procs=2))
+        ns: dict = {}
+        _w_reset(ns, "solve", pickle.dumps(problem), [1, 2])
+        store = ns["sessions"]["solve"]["states"][1]
+
+        reply = _w_run_instr(ns, "solve", 1, spec)
+        assert reply.s_blocks == [] and reply.pred_blocks == []
+        assert reply.boundary is not None
+        s_held, pred_held = store.s.held(), store.pred.held()
+
+        resent = _MustNotRun(proc=1, lo=spec.lo, hi=spec.hi)
+        again = _w_run_instr(ns, "solve", 1, resent)
+        assert again is reply
+        for now, before in ((store.s.held(), s_held), (store.pred.held(), pred_held)):
+            assert len(now) == len(before)
+            assert all(a is b for a, b in zip(now, before))
 
 
 class TestSuperstepNumbering:
@@ -417,8 +341,9 @@ class TestSuperstepNumbering:
 
     def test_crew_path_numbers_match_classic(self):
         with ThreadExecutor(max_workers=2) as ex:
-            classic = solve_with(PROBLEMS["matrix"], ex, runners=1)
-            crewed = solve_with(PROBLEMS["matrix"], ex, runners=4)
+            classic = solve_with(PROBLEMS["matrix"], ex)
+        with DuplicatingThreadExecutor(max_workers=2, runners=4) as ex:
+            crewed = solve_with(PROBLEMS["matrix"], ex)
         assert [r.step for r in crewed.metrics.supersteps] == [
             r.step for r in classic.metrics.supersteps
         ]
@@ -433,20 +358,18 @@ class TestSuperstepNumbering:
 
 
 class TestProgramCompile:
-    """Instruction dataflow: the fix-up DAG made explicit."""
+    """Seqs, steps, the recorded set and the per-slot journal."""
 
-    def test_forward_program_dependency_edges(self):
+    def test_supersteps_number_seqs_and_steps(self):
         from repro.ltdp.engine.specs import ForwardFixupSpec
 
         program = InstructionProgram()
         ranges = partition_stages(60, 3)
         opts = ParallelOptions(num_procs=3)
-        step, init = program.add_superstep(
-            plan_initial_pass(ranges, opts), label="forward"
-        )
+        step, init = program.add_superstep(plan_initial_pass(ranges, opts))
         assert step == 1
         assert [i.seq for i in init] == [1, 2, 3]
-        assert all(i.deps == () for i in init)
+        assert [i.slot for i in init] == [1, 2, 3]
 
         fixups = [
             ForwardFixupSpec(
@@ -458,45 +381,28 @@ class TestProgramCompile:
             )
             for rg in ranges[1:]
         ]
-        step, instrs = program.add_superstep(fixups, label="fixup[1]")
-        assert step == 2
-        for instr in instrs:
-            p = instr.slot
-            # Reads its left neighbour's boundary and its own state; both
-            # were last written in the initial pass (seqs p-1 and p).
-            assert f"bnd:{p - 1}" in instr.reads
-            assert set(instr.deps) == {p - 1, p}
+        step, instrs = program.add_superstep(fixups)
+        assert step == 2 and program.step_no == 2
+        assert [i.seq for i in instrs] == [4, 5]
+        assert [i.slot for i in instrs] == [2, 3]
 
     def test_record_result_first_wins(self):
         program = InstructionProgram()
         _, (instr,) = program.add_superstep(
-            plan_initial_pass(
-                partition_stages(40, 1), ParallelOptions(num_procs=1)
-            ),
-            label="forward",
+            plan_initial_pass(partition_stages(40, 1), ParallelOptions(num_procs=1))
         )
-        assert program.record_result(instr.seq, "first")
-        assert not program.record_result(instr.seq, "second")
-        assert program.result(instr.seq) == "first"
+        assert not program.is_recorded(instr.seq)
+        assert program.record(instr.seq)
+        assert not program.record(instr.seq)
         assert program.is_recorded(instr.seq)
 
     def test_install_journalled_without_dataflow_registration(self):
         program = InstructionProgram()
         ranges = partition_stages(60, 2)
-        program.add_superstep(
-            plan_initial_pass(ranges, ParallelOptions(num_procs=2)),
-            label="forward",
-        )
+        program.add_superstep(plan_initial_pass(ranges, ParallelOptions(num_procs=2)))
         install = program.add_install(1, {"payload": True})
         assert install.op == "pred-install"
-        assert install.deps == ()
-        assert install in program.slot_history(1)
-        # A later reader of pred:1 must NOT depend on the install seq —
-        # installs are driver-barriered, never queue-released.
-        from repro.ltdp.engine.specs import BackwardInitSpec
-
-        _, (instr,) = program.add_superstep(
-            [BackwardInitSpec(proc=1, lo=0, hi=30, start_index=0)],
-            label="backward",
-        )
-        assert install.seq not in instr.deps
+        assert install.seq == 3
+        assert [i.seq for i in program.slot_history(1)] == [1, 3]
+        assert [i.seq for i in program.slot_history(2)] == [2]
+        assert not program.is_recorded(install.seq)
