@@ -57,7 +57,7 @@ def local_alignment_demo() -> None:
     chromosome[where : where + 60] = copy
 
     problem = SmithWatermanProblem(gene, chromosome)
-    par = solve_parallel(problem, num_procs=16, seed=0, parallel_backward=True)
+    par = solve_parallel(problem, num_procs=16, seed=0)
     summary = problem.extract(par)
     print(f"best local score   : {par.score:.0f}")
     print(f"database window    : {summary.db_window} (planted at {where + 1})")

@@ -26,7 +26,7 @@ from repro.ltdp.partition import StageRange, partition_stages
 from repro.ltdp.problem import LTDPProblem
 from repro.machine.metrics import CommEvent, RunMetrics, SuperstepRecord
 
-__all__ = ["objective_phase", "backward_parallel_phase", "backward_serial_phase"]
+__all__ = ["objective_phase", "backward_parallel_phase"]
 
 
 def _apply_segment(path: np.ndarray, result) -> None:
@@ -219,39 +219,3 @@ def backward_parallel_phase(
     metrics.backward_fixup_iterations = iteration
     return path
 
-
-def backward_serial_phase(
-    problem: LTDPProblem,
-    runtime: SuperstepRuntime,
-    metrics: RunMetrics,
-    num_procs: int,
-    *,
-    start_stage: int | None = None,
-    start_cell: int = 0,
-) -> np.ndarray:
-    """Sequential traceback (Fig 2 backward) recorded as processor-1 work.
-
-    Runs in the driver; runtimes with worker-resident state first gather
-    the predecessor vectors (a one-time O(n·width) transfer — this is
-    the non-default path, kept for comparison runs).
-    """
-    n = problem.num_stages
-    if start_stage is None:
-        start_stage = n
-    pred_store = runtime.pred_vectors()
-    path = np.zeros(n + 1, dtype=np.int64)
-    path[start_stage] = start_cell
-    x = start_cell
-    t0 = time.perf_counter()
-    for i in range(start_stage, 0, -1):
-        x = int(pred_store[i][x])
-        path[i - 1] = x
-    wall = time.perf_counter() - t0
-    work_row = [0.0] * num_procs
-    work_row[0] = float(start_stage)
-    metrics.record(
-        SuperstepRecord(
-            label="backward", work=work_row, wall_seconds=wall, phase="backward"
-        )
-    )
-    return path

@@ -34,11 +34,7 @@ import numpy as np
 
 from repro.exceptions import ProblemDefinitionError
 from repro.kernels import kernel_tier_enabled
-from repro.ltdp.engine.backward import (
-    backward_parallel_phase,
-    backward_serial_phase,
-    objective_phase,
-)
+from repro.ltdp.engine.backward import backward_parallel_phase, objective_phase
 from repro.ltdp.engine.forward import forward_phase
 from repro.ltdp.engine.inprocess import SequentialAnswer
 from repro.ltdp.engine.runtime import LocalRuntime, SuperstepRuntime
@@ -103,8 +99,6 @@ class ParallelOptions:
     exact_score:
         Run the path-pricing epilogue so ``solution.score`` equals the
         true ``s_n[0]`` (costs one ``edge_weight`` per stage).
-    parallel_backward:
-        Use the Fig 5 parallel backward phase; else traceback serially.
     keep_stage_vectors:
         Return the stored per-stage vectors (each parallel to the true
         one) on the solution object.
@@ -138,7 +132,6 @@ class ParallelOptions:
     delta_crossover: float = 0.25
     max_fixup_iterations: int | None = None
     exact_score: bool = True
-    parallel_backward: bool = True
     keep_stage_vectors: bool = False
     tracer: Tracer | None = None
     use_kernels: bool | None = None
@@ -234,25 +227,15 @@ def _run_phases(
     # cell" (None) with a legitimate objective optimum at cell 0.
     start_cell = 0 if obj_cell is None else obj_cell
     with tracer.span("phase", phase="backward"):
-        if options.parallel_backward:
-            path = backward_parallel_phase(
-                problem,
-                ranges,
-                options,
-                runtime,
-                metrics,
-                start_stage=obj_stage,
-                start_cell=start_cell,
-            )
-        else:
-            path = backward_serial_phase(
-                problem,
-                runtime,
-                metrics,
-                len(ranges),
-                start_stage=obj_stage,
-                start_cell=start_cell,
-            )
+        path = backward_parallel_phase(
+            problem,
+            ranges,
+            options,
+            runtime,
+            metrics,
+            start_stage=obj_stage,
+            start_cell=start_cell,
+        )
 
     final = np.asarray(finals[ranges[-1].proc])
     if obj_value is not None:
@@ -315,9 +298,9 @@ def solve_parallel(
             tracer=options.tracer,
         )
         solution = answer.solution
-        solution.metrics = sequential_metrics(problem)
+        solution.metrics = sequential_metrics(problem, answer.swept_cells)
         if options.keep_stage_vectors:
-            solution.stage_vectors = list(answer.vectors)
+            solution.stage_vectors = answer.store.rows(n)
         return solution
 
     metrics = RunMetrics(

@@ -1,28 +1,35 @@
 """Kernel-tier sequential solve: the fast ``P = 1`` path.
 
-One gated :func:`~repro.kernels.block_sweep` over all stages from the
-true ``s_0``, then :func:`~repro.ltdp.sequential.backward_sequential`.
-Every stage vector is exact (the sweep never starts from a guessed
-vector), so the score is ``s_n[0]`` itself and the answer is
-bit-identical to :func:`~repro.ltdp.sequential.solve_sequential`.
-Whenever the tier is off for the problem, no kernel accepts the sweep,
-the sweep hits an all-0̄ stage, or the problem tracks a stage objective,
-the dense :func:`~repro.ltdp.sequential.forward_sequential` runs instead
-(and raises the proper :class:`~repro.exceptions.ZeroVectorError`).
+The engine's own specs, executed in-line on one
+:class:`~repro.ltdp.engine.store.DriverStore`: a
+:class:`~repro.ltdp.engine.specs.ForwardInitSpec` over every stage from
+the true ``s_0`` (one gated block sweep when a kernel accepts the
+problem, the spec's dense loop otherwise), an
+:class:`~repro.ltdp.engine.specs.ObjectiveSpec` when the problem tracks
+a stage objective, and a
+:class:`~repro.ltdp.engine.specs.BackwardInitSpec` for the compiled
+traceback.  Every stage vector is exact (processor 1 starts from a
+stored exact vector, never a guessed one), so the score is ``s_n[0]``
+itself and the answer is bit-identical to
+:func:`~repro.ltdp.sequential.solve_sequential`.
 
-:class:`SequentialAnswer` keeps that exact forward state resident, so
-the serving layer can answer a near-duplicate request by re-sweeping
-only the suffix from its first dirty stage (:meth:`SequentialAnswer.
-repair`).  The dense ``solve_sequential`` stays kernel-free: it is the
-oracle a kernel bug must not reach.
+:class:`SequentialAnswer` keeps that store resident, so the serving
+layer can answer a near-duplicate request by re-sweeping only the
+suffix from its first dirty stage (:meth:`SequentialAnswer.repair`):
+the new suffix segment shadows the old rows.  The dense
+``solve_sequential`` stays kernel-free: it is the oracle a kernel bug
+must not reach.
 """
 
 from __future__ import annotations
 
 import time
 
+import numpy as np
+
+from repro.ltdp.engine.specs import BackwardInitSpec, ForwardInitSpec, ObjectiveSpec
+from repro.ltdp.engine.store import DriverStore
 from repro.ltdp.problem import LTDPProblem, LTDPSolution
-from repro.ltdp.sequential import forward_sequential, sequential_solution
 from repro.machine.trace import NULL_TRACER, Tracer
 
 __all__ = ["SequentialAnswer"]
@@ -44,13 +51,10 @@ class SequentialAnswer:
         use_kernels: bool,
         tracer: Tracer | None = None,
     ) -> None:
-        n = problem.num_stages
         self.problem = problem
         self.use_kernels = use_kernels
         self.tracer = tracer or NULL_TRACER
-        self.vectors: list = [None] * (n + 1)
-        self.vectors[0] = problem.initial_vector()
-        self.preds: list = [None] * (n + 1)
+        self.store = DriverStore(problem)
         self.forward_seconds = 0.0
         self.swept_cells = 0.0
         self.solution = self._solve_from(0)
@@ -64,43 +68,46 @@ class SequentialAnswer:
         whose optimum may lie in the prefix, is solved again whole).
         Returns the cells recomputed.
         """
-        self.problem = problem
+        self.problem = self.store.problem = problem
         start = 0 if problem.tracks_stage_objective else min(dirty) - 1
         self.solution = self._solve_from(start)
         return self.swept_cells
 
     # ------------------------------------------------------------------
     def _solve_from(self, start: int) -> LTDPSolution:
+        problem, store = self.problem, self.store
+        n = problem.num_stages
+        objective = None
         t0 = time.perf_counter()
         with self.tracer.span("phase", phase="forward"):
-            best = self._forward_from(start)
+            forward = ForwardInitSpec(
+                proc=1, lo=start, hi=n, use_kernels=self.use_kernels
+            ).execute(problem, store)
+            store.apply(forward)
+            if problem.tracks_stage_objective:
+                objective = (
+                    ObjectiveSpec(proc=1, lo=0, hi=n, include_initial=True)
+                    .execute(problem, store)
+                    .objective
+                )
         self.forward_seconds = time.perf_counter() - t0
+        self.swept_cells = forward.work
+        final = store.get_s(n)
+        if objective is None:
+            score, end_stage, end_cell = float(final[0]), n, 0
+        else:
+            score, end_stage, end_cell = objective
         with self.tracer.span("phase", phase="backward"):
-            return sequential_solution(self.vectors[-1], self.preds, best)
-
-    def _forward_from(self, start: int) -> tuple[float, int, int] | None:
-        """Sweep stages ``start + 1 .. n``; returns the stage objective's
-        optimum (``None`` for problems without one)."""
-        problem = self.problem
-        n = problem.num_stages
-        if self.use_kernels and not problem.tracks_stage_objective:
-            from repro.kernels import block_sweep
-
-            sweep = block_sweep(problem, start, n, self.vectors[start])
-            if sweep is not None and sweep.zero_index is None:
-                self.vectors[start + 1 :] = [sweep.value(r) for r in range(len(sweep))]
-                self.preds[start + 1 :] = [sweep.pred(r) for r in range(len(sweep))]
-                self.swept_cells = float(sweep.costs.sum())
-                return None
-        _, preds, vectors, best = forward_sequential(
-            problem,
-            keep_stage_vectors=True,
-            start=start,
-            start_vector=self.vectors[start],
+            path = np.zeros(n + 1, dtype=np.int64)
+            path[end_stage] = end_cell
+            traced = BackwardInitSpec(
+                proc=1, lo=0, hi=end_stage, start_index=end_cell
+            ).execute(problem, store)
+            path[:end_stage] = traced.path_segment[1]
+        return LTDPSolution(
+            path=path,
+            score=float(score),
+            final_vector=final,
+            objective_stage=None if objective is None else end_stage,
+            objective_cell=None if objective is None else end_cell,
         )
-        self.vectors[start + 1 :] = vectors[start + 1 :]
-        self.preds[start + 1 :] = preds[start + 1 :]
-        self.swept_cells = float(
-            sum(problem.stage_cost(i) for i in range(start + 1, n + 1))
-        )
-        return best

@@ -27,8 +27,8 @@ path segment **inside the worker**
   problems whose optimum lies before the last stage), a one-time
   driver-mediated redistribution moves the few predecessor vectors a
   slot is missing;
-- gathers (``keep_stage_vectors``, the serial-traceback fallback) pull
-  the resident arrays out at the end, off the hot path.
+- the ``keep_stage_vectors`` gather pulls the resident stage arrays out
+  at the end, off the hot path.
 
 Sessions: each runtime owns a **session key** and all of its worker-side
 state lives under ``ns["sessions"][key]``, so runtimes sharing one pool
@@ -328,29 +328,20 @@ class PoolRuntime(SuperstepRuntime):
             instr = self.program.add_install(slot, blocks)
             self.program.record(instr.seq)
 
-    # -- gathers --------------------------------------------------------
-    def _gather(self, kind: str) -> list[np.ndarray | None]:
+    def stage_vectors(self) -> list[np.ndarray | None]:
         out: list[np.ndarray | None] = [None] * (self.num_stages + 1)
-        if kind == "s":
-            out[0] = self.problem.initial_vector()
-        ranges = self.forward_ranges
+        out[0] = self.problem.initial_vector()
         key = self.session_key
         for blocks in self.pool.call_slots(
             [
-                (rg.proc, _w_collect, (key, rg.proc, kind, rg.lo + 1, rg.hi + 1))
-                for rg in ranges
+                (rg.proc, _w_collect, (key, rg.proc, "s", rg.lo + 1, rg.hi + 1))
+                for rg in self.forward_ranges
             ]
         ):
             for block in blocks:
                 for i, row in block.items():
                     out[i] = row
         return out
-
-    def stage_vectors(self) -> list[np.ndarray | None]:
-        return self._gather("s")
-
-    def pred_vectors(self) -> list[np.ndarray | None]:
-        return self._gather("pred")
 
     def finish(self) -> None:
         # The program journal belongs to this runtime; a stale hook

@@ -101,10 +101,6 @@ class SuperstepRuntime(ABC):
     def stage_vectors(self) -> list[np.ndarray | None]:
         """Gather all stored stage vectors (``keep_stage_vectors``)."""
 
-    @abstractmethod
-    def pred_vectors(self) -> list[np.ndarray | None]:
-        """Gather all predecessor vectors (serial-traceback fallback)."""
-
     def finish(self) -> None:
         """Release per-solve resources.  Must not tear down the executor."""
 
@@ -175,7 +171,4 @@ class LocalRuntime(SuperstepRuntime):
         self.state.path = path
 
     def stage_vectors(self) -> list[np.ndarray | None]:
-        return self.state.rows("s", self.problem.num_stages)
-
-    def pred_vectors(self) -> list[np.ndarray | None]:
-        return self.state.rows("pred", self.problem.num_stages)
+        return self.state.rows(self.problem.num_stages)

@@ -227,11 +227,14 @@ class SuperstepSpec:
 
 @dataclass(frozen=True)
 class ForwardInitSpec(SuperstepSpec):
-    """Fig 4 lines 6-11: sweep the range from ``s_0`` (proc 1) or ``nz``.
+    """Fig 4 lines 6-11: sweep the range from ``s_lo`` (proc 1) or ``nz``.
 
-    ``seed`` is the processor's spawned :class:`numpy.random.SeedSequence`
-    child; the same child produces the same ``nz`` vector on every
-    runtime, which is what keeps runs reproducible across executors.
+    Processor 1 starts from the stored ``s_lo``: ``s_0`` in a solve
+    (every store holds it), any exact stored vector when the in-process
+    answer re-sweeps a suffix.  ``seed`` is the processor's spawned
+    :class:`numpy.random.SeedSequence` child; the same child produces
+    the same ``nz`` vector on every runtime, which is what keeps runs
+    reproducible across executors.
     """
 
     seed: np.random.SeedSequence | None = None
@@ -249,7 +252,7 @@ class ForwardInitSpec(SuperstepSpec):
 
     def execute(self, problem: LTDPProblem, store: StageStore) -> SpecResult:
         if self.proc == 1:
-            v = problem.initial_vector()
+            v = store.get_s(self.lo)
         else:
             rng = np.random.default_rng(self.seed)
             v = random_nonzero_vector(
@@ -269,7 +272,7 @@ class ForwardInitSpec(SuperstepSpec):
                 if sweep.zero_index is not None:
                     raise ZeroVectorError(
                         f"stage {self.lo + 1 + sweep.zero_index} produced an "
-                        "all--inf vector during the parallel forward pass"
+                        "all--inf vector in the forward pass"
                     )
                 start = self.lo + 1
                 states = {}
@@ -295,8 +298,7 @@ class ForwardInitSpec(SuperstepSpec):
                 v, p = problem.apply_stage_with_pred(i, v)
             if is_zero_vector(v):
                 raise ZeroVectorError(
-                    f"stage {i} produced an all--inf vector during the "
-                    "parallel forward pass"
+                    f"stage {i} produced an all--inf vector in the forward pass"
                 )
             out_s.append(v)
             out_pred.append(p)

@@ -137,8 +137,8 @@ class StateStore:
     def apply(self, result: SpecResult, seq: int | None = None) -> None:
         """Install a spec's stage-resident writes, at most once per ``seq``.
 
-        ``seq=None`` (legacy superstep-loop path) always applies —
-        the classic barrier loop never re-delivers.
+        ``seq=None`` (the in-process answer's in-line specs) always
+        applies: nothing there is ever delivered twice.
         """
         if seq is not None:
             if seq in self._applied_seqs:
@@ -174,11 +174,11 @@ class StateStore:
     def get_fixup_input(self, lo: int) -> np.ndarray | None:
         return self.fixup_input.get(lo)
 
-    def rows(self, kind: str, n: int) -> list[np.ndarray | None]:
-        """Stages ``0 .. n`` of ``s`` or ``pred`` as a list (``None``
-        where nothing is held)."""
+    def rows(self, n: int) -> list[np.ndarray | None]:
+        """Stage vectors ``0 .. n`` as a list (``None`` where nothing is
+        held)."""
         out: list[np.ndarray | None] = [None] * (n + 1)
-        for seg in (self.s if kind == "s" else self.pred).held():
+        for seg in self.s.held():
             for i, row in seg.items():
                 out[i] = row
         return out

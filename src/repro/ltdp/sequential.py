@@ -22,17 +22,12 @@ __all__ = [
     "forward_sequential",
     "backward_sequential",
     "sequential_metrics",
-    "sequential_solution",
     "solve_sequential",
 ]
 
 
 def forward_sequential(
-    problem: LTDPProblem,
-    *,
-    keep_stage_vectors: bool = False,
-    start: int = 0,
-    start_vector: np.ndarray | None = None,
+    problem: LTDPProblem, *, keep_stage_vectors: bool = False
 ) -> tuple[
     np.ndarray,
     list[np.ndarray | None],
@@ -47,24 +42,18 @@ def forward_sequential(
     For ``tracks_stage_objective`` problems ``best_objective`` is the
     running ``(value, stage, cell)`` reduction (earliest stage wins
     ties); otherwise ``None``.
-
-    With ``start`` the pass resumes from ``start_vector`` (the exact
-    ``s_start``; the initial vector when omitted at ``start = 0``) and
-    covers only stages ``start + 1 .. n``: earlier ``pred`` and
-    ``stage_vectors`` entries are ``None``, and ``best_objective``
-    reduces over stages ``start .. n`` only.
     """
     n = problem.num_stages
-    s = problem.initial_vector() if start_vector is None else start_vector
+    s = problem.initial_vector()
     pred: list[np.ndarray | None] = [None] * (n + 1)
     vectors: list[np.ndarray | None] | None = None
     if keep_stage_vectors:
-        vectors = [None] * start + [s.copy()]
+        vectors = [s.copy()]
     best: tuple[float, int, int] | None = None
     if problem.tracks_stage_objective:
-        val, cell = problem.stage_objective(start, s)
-        best = (val, start, cell)
-    for i in range(start + 1, n + 1):
+        val, cell = problem.stage_objective(0, s)
+        best = (val, 0, cell)
+    for i in range(1, n + 1):
         s, p = problem.apply_stage_with_pred(i, s)
         if is_zero_vector(s):
             raise ZeroVectorError(
@@ -128,54 +117,26 @@ def best_stage_objective(
     return best_val, best_stage, best_cell
 
 
-def sequential_metrics(problem: LTDPProblem) -> RunMetrics:
+def sequential_metrics(problem: LTDPProblem, work: float) -> RunMetrics:
     """The single-processor :class:`RunMetrics` of a sequential solve.
 
-    One forward record (every cell once) and one backward record (one
-    traceback step per stage), so the cost model prices a sequential
-    run consistently with parallel ones.
+    One forward record (``work``: every cell once, as the forward sweep
+    summed it) and one backward record (one traceback step per stage),
+    so the cost model prices a sequential run consistently with
+    parallel ones.
     """
     metrics = RunMetrics(
         num_procs=1,
         num_stages=problem.num_stages,
         stage_width=problem.max_stage_width(),
     )
-    metrics.record(
-        SuperstepRecord(label="forward", work=[problem.total_cells()], phase="forward")
-    )
+    metrics.record(SuperstepRecord(label="forward", work=[work], phase="forward"))
     metrics.record(
         SuperstepRecord(
             label="backward", work=[float(problem.num_stages)], phase="backward"
         )
     )
     return metrics
-
-
-def sequential_solution(
-    final: np.ndarray,
-    pred: list[np.ndarray | None],
-    best: tuple[float, int, int] | None,
-) -> LTDPSolution:
-    """Trace back and assemble the answer of an exact forward pass.
-
-    ``final``, ``pred`` and ``best`` are what :func:`forward_sequential`
-    returns: the score is ``final[0]`` (exact, because the pass started
-    from the true ``s_0``), or the stage objective's optimum when
-    ``best`` is given.
-    """
-    if best is not None:
-        score, obj_stage, obj_cell = best
-        path = backward_sequential(pred, start_stage=obj_stage, start_cell=obj_cell)
-    else:
-        score, obj_stage, obj_cell = float(final[0]), None, None
-        path = backward_sequential(pred)
-    return LTDPSolution(
-        path=path,
-        score=float(score),
-        final_vector=final,
-        objective_stage=obj_stage,
-        objective_cell=obj_cell,
-    )
 
 
 def solve_sequential(
@@ -195,8 +156,20 @@ def solve_sequential(
     final, pred, vectors, best = forward_sequential(
         problem, keep_stage_vectors=keep_stage_vectors
     )
-    solution = sequential_solution(final, pred, best)
-    solution.stage_vectors = vectors
+    if best is not None:
+        score, obj_stage, obj_cell = best
+        path = backward_sequential(pred, start_stage=obj_stage, start_cell=obj_cell)
+    else:
+        score, obj_stage, obj_cell = float(final[0]), None, None
+        path = backward_sequential(pred)
+    solution = LTDPSolution(
+        path=path,
+        score=float(score),
+        final_vector=final,
+        stage_vectors=vectors,
+        objective_stage=obj_stage,
+        objective_cell=obj_cell,
+    )
     if with_metrics:
-        solution.metrics = sequential_metrics(problem)
+        solution.metrics = sequential_metrics(problem, problem.total_cells())
     return solution

@@ -223,16 +223,10 @@ def test_pool_spawn_start_method_bit_identical(name, spawn_pool, serial_solution
     assert got.metrics.fixup_stages == base.metrics.fixup_stages
 
 
-def test_pool_serial_backward_and_stage_vectors_match():
-    """The pool runtime also reproduces the optional code paths:
-    serial backward phase and gathered stage vectors."""
+def test_pool_stage_vectors_match():
+    """The pool runtime also reproduces the gathered stage vectors."""
     problem = PROBLEMS["matrix"]
-    opts_kwargs = dict(
-        num_procs=NUM_PROCS,
-        seed=SEED,
-        parallel_backward=False,
-        keep_stage_vectors=True,
-    )
+    opts_kwargs = dict(num_procs=NUM_PROCS, seed=SEED, keep_stage_vectors=True)
     base = solve_parallel(problem, ParallelOptions(**opts_kwargs))
     ex = get_executor("pool", max_workers=2)
     try:

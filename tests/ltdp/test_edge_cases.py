@@ -60,14 +60,15 @@ class TestFailurePaths:
         with pytest.raises(ZeroVectorError):
             solve_sequential(bad)
 
-    def test_zero_vector_error_in_parallel(self):
+    @pytest.mark.parametrize("num_procs", [1, 3])
+    def test_zero_vector_error_in_parallel(self, num_procs):
         bad = MatrixLTDPProblem(
             np.zeros(2),
             [np.zeros((2, 2)), np.full((2, 2), NEG_INF), np.zeros((2, 2))],
             allow_trivial=True,
         )
-        with pytest.raises(ZeroVectorError):
-            solve_parallel(bad, num_procs=3)
+        with pytest.raises(ZeroVectorError, match="stage 2 .* in the forward pass"):
+            solve_parallel(bad, num_procs=num_procs)
 
     def test_convergence_error_when_iterations_capped(self, rng):
         p = permutation_chain_problem(20, 5, rng)

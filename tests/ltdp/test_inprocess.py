@@ -1,18 +1,21 @@
 """The kernel-tier sequential solve behind ``solve_parallel(num_procs=1)``.
 
-One gated block sweep from the true ``s_0`` plus the traceback must give
-exactly the dense ``solve_sequential`` answer — path, score, objective
-cell, stage vectors and the recorded one-processor metrics — and must
-fall back to the dense loop whenever the sweep is refused.
+One gated block sweep from the true ``s_0`` plus the compiled traceback
+must give exactly the dense ``solve_sequential`` answer — path, score,
+objective cell, stage vectors and the recorded one-processor metrics —
+and must fall back to the dense loop whenever the sweep is refused.
 """
 
 import numpy as np
 import pytest
 
 import repro.kernels
+import repro.kernels.backend
+import repro.ltdp.sequential
 from repro.datagen.sequences import homologous_pair, random_dna
 from repro.ltdp.engine.driver import solve_parallel
 from repro.ltdp.engine.inprocess import SequentialAnswer
+from repro.ltdp.matrix_problem import random_matrix_problem
 from repro.ltdp.sequential import solve_sequential
 from repro.machine.trace import Tracer
 from repro.problems.alignment.lcs import LCSProblem
@@ -21,18 +24,24 @@ from repro.problems.alignment.smith_waterman import SmithWatermanProblem
 from repro.problems.convolutional import VOYAGER, ViterbiDecoderProblem
 
 
-def _problems():
-    rng = np.random.default_rng(31)
-    bits = rng.integers(0, 2, 80).astype(np.uint8)
+def _viterbi(rng, num_bits):
+    bits = rng.integers(0, 2, num_bits).astype(np.uint8)
     sent = VOYAGER.encode(bits, terminate=True)
     noisy = sent ^ (rng.random(sent.shape) < 0.03).astype(np.uint8)
+    return ViterbiDecoderProblem(VOYAGER, noisy, terminated=True)
+
+
+def _problems():
+    rng = np.random.default_rng(31)
+    viterbi = _viterbi(rng, 80)
     return {
         "lcs": LCSProblem(*homologous_pair(50, rng, divergence=0.1), width=9),
         "nw": NeedlemanWunschProblem(
             *homologous_pair(50, rng, divergence=0.1), width=9
         ),
         "sw": SmithWatermanProblem(random_dna(6, rng), random_dna(50, rng)),
-        "viterbi": ViterbiDecoderProblem(VOYAGER, noisy, terminated=True),
+        "viterbi": viterbi,
+        "matrix": random_matrix_problem(40, 6, rng, integer=True),
     }
 
 
@@ -83,6 +92,41 @@ def test_kernel_problems_take_one_block_sweep(name, monkeypatch):
     assert calls == [(0, problem.num_stages)]
 
 
+def test_kernel_tier_solve_makes_no_per_stage_python_pass(monkeypatch):
+    """The traceback walks the compiled backend, never the oracle's
+    Python walk, and no per-stage pass runs after the sweep: an
+    800-bit packet makes as many ``stage_cost`` calls as an 80-bit one."""
+    rng = np.random.default_rng(34)
+    problems = [_viterbi(rng, 80), _viterbi(rng, 800)]
+    wants = [solve_sequential(p) for p in problems]
+    walked = []
+    real_traceback = repro.kernels.backend.traceback
+
+    def counting_traceback(P, x, out, ref=None):
+        walked.append(len(P))
+        return real_traceback(P, x, out, ref)
+
+    def python_walk(*args, **kwargs):
+        raise AssertionError("the in-process solve ran backward_sequential")
+
+    cost_calls = []
+    real_cost = ViterbiDecoderProblem.stage_cost
+
+    def counting_cost(self, i):
+        cost_calls[-1] += 1
+        return real_cost(self, i)
+
+    monkeypatch.setattr(repro.kernels.backend, "traceback", counting_traceback)
+    monkeypatch.setattr(repro.ltdp.sequential, "backward_sequential", python_walk)
+    monkeypatch.setattr(ViterbiDecoderProblem, "stage_cost", counting_cost)
+    for problem, want in zip(problems, wants):
+        walked.clear()
+        cost_calls.append(0)
+        _assert_same(solve_parallel(problem, num_procs=1, use_kernels=True), want)
+        assert sum(walked) == problem.num_stages
+    assert cost_calls[0] == cost_calls[1]
+
+
 def test_refused_sweep_falls_back_dense(monkeypatch):
     monkeypatch.setattr(repro.kernels, "block_sweep", lambda *a, **k: None)
     problem = PROBLEMS["nw"]
@@ -115,7 +159,12 @@ def test_suffix_repair_matches_fresh_solve(cls, use_kernels):
         assert cells == sum(
             problem.stage_cost(i) for i in range(pos + 1, problem.num_stages + 1)
         )
-        _assert_same(answer.solution, solve_sequential(problem))
+        want = solve_sequential(problem, keep_stage_vectors=True)
+        _assert_same(answer.solution, want)
+        resident = answer.store.rows(problem.num_stages)
+        assert [v.tobytes() for v in resident] == [
+            v.tobytes() for v in want.stage_vectors
+        ]
 
 
 @pytest.mark.parametrize("use_kernels", [False, True])

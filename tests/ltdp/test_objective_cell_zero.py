@@ -4,12 +4,11 @@ The driver used to compute the traceback start as ``obj_cell or 0``,
 conflating the sentinel "no stage objective" (``None``) with a
 legitimate optimum at cell index 0 — the falsy value Python happily
 swallows.  The guard is now an explicit ``is None`` check; these tests
-pin a problem whose optimum provably sits at cell 0 and require both
-backward implementations to trace from exactly that cell.
+pin a problem whose optimum provably sits at cell 0 and require the
+sequential and the parallel traceback to start from exactly that cell.
 """
 
 import numpy as np
-import pytest
 
 from repro.ltdp.engine.driver import ParallelOptions, solve_parallel
 from repro.ltdp.problem import LTDPProblem
@@ -71,16 +70,10 @@ class TestObjectiveCellZero:
         # Diagonal transforms: a cell-0 start means a cell-0 path.
         assert not seq.path[: seq.objective_stage + 1].any()
 
-    @pytest.mark.parametrize("parallel_backward", [False, True])
-    def test_parallel_traces_from_cell_zero(self, parallel_backward):
+    def test_parallel_traces_from_cell_zero(self):
         p = CellZeroOptimum()
         seq = solve_sequential(p)
-        par = solve_parallel(
-            p,
-            ParallelOptions(
-                num_procs=4, parallel_backward=parallel_backward
-            ),
-        )
+        par = solve_parallel(p, ParallelOptions(num_procs=4))
         assert par.objective_cell == 0
         assert par.objective_stage == seq.objective_stage
         assert par.score == seq.score

@@ -94,12 +94,6 @@ class TestEquivalenceWithSequential:
         np.testing.assert_array_equal(par.path, seq.path)
         assert par.metrics.num_procs == 3  # clamped
 
-    def test_serial_backward_variant(self, rng):
-        p = random_matrix_problem(20, 5, rng, integer=True)
-        par = solve_parallel(p, num_procs=4, parallel_backward=False)
-        seq = solve_sequential(p)
-        np.testing.assert_array_equal(par.path, seq.path)
-
 
 class TestScores:
     def test_exact_score_epilogue(self, rng):

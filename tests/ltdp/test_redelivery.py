@@ -348,14 +348,6 @@ class TestSuperstepNumbering:
             r.step for r in classic.metrics.supersteps
         ]
 
-    def test_serial_backward_fallback_records_step_zero(self):
-        got = solve_with(
-            PROBLEMS["matrix"], get_executor("serial"), parallel_backward=False
-        )
-        assert got.metrics.supersteps[-1].label == "backward"
-        assert got.metrics.supersteps[-1].step == 0
-        assert all(r.step > 0 for r in got.metrics.supersteps[:-1])
-
 
 class TestProgramCompile:
     """Seqs, steps, the recorded set and the per-slot journal."""

@@ -42,21 +42,6 @@ class TestForward:
         assert pred[0] is None
         assert all(pr is not None for pr in pred[1:])
 
-    def test_resume_from_a_stage_matches_the_full_pass(self, rng):
-        p = random_matrix_problem(7, 4, rng, integer=True)
-        final, pred, vectors, _ = forward_sequential(p, keep_stage_vectors=True)
-        k = 3
-        f2, pred2, vectors2, _ = forward_sequential(
-            p, keep_stage_vectors=True, start=k, start_vector=vectors[k]
-        )
-        np.testing.assert_array_equal(f2, final)
-        assert pred2[: k + 1] == [None] * (k + 1)
-        assert vectors2[:k] == [None] * k
-        for i in range(k, 8):
-            np.testing.assert_array_equal(vectors2[i], vectors[i])
-        for i in range(k + 1, 8):
-            np.testing.assert_array_equal(pred2[i], pred[i])
-
     def test_zero_vector_raises(self):
         # A trivial row forces a -inf entry; an all-trivial matrix
         # collapses the whole vector.
