@@ -2,8 +2,9 @@
 
 Preplanned contiguous layouts per problem family, vectorized
 add-compare-select over whole stage-blocks, an optional compiled
-backend (numba or a system C compiler, auto-detected, pure-NumPy
-fallback), and an exactness gate on every dispatch.  See
+backend (a system C compiler, auto-detected, pure-NumPy fallback), and
+an exactness gate on every dispatch.  A sweep yields stage vectors and
+predecessors only; §4.7 delta state is never captured here.  See
 ``docs/kernels.md``.
 """
 

@@ -1,25 +1,22 @@
 """Compiled-backend resolution for the kernel tier.
 
-Three interchangeable implementations of the block primitives
+Two interchangeable implementations of the block primitives
 (``viterbi_block`` — branch-major ACS over a trellis stage-block,
 returning its first all-0̄ row; ``banded_block`` — banded alignment
 rows with the left-gap prefix scan; ``traceback`` — the backward walk
 over a contiguous predecessor block), in preference order:
 
-1. **numba** — auto-detected; JIT builds of the same loops.  No
-   ``fastmath``: every arithmetic op is the IEEE double op the dense
-   NumPy kernels perform, so results are bit-identical.
-2. **cc** — the embedded C source below compiled on first use with the
+1. **cc** — the embedded C source below compiled on first use with the
    system C compiler (``-O2``, *never* ``-ffast-math``) and loaded via
    ``ctypes``.  Build artifacts are cached on disk keyed by a source
    hash; concurrent builders race benignly through ``os.replace``.
-3. **numpy** — no compiled primitives; kernels fall back to their
+2. **numpy** — no compiled primitives; kernels fall back to their
    blocked pure-NumPy paths (still several stages per Python dispatch)
    and :func:`traceback` to a Python loop.
 
-``REPRO_KERNEL_BACKEND`` (``numba`` / ``cc`` / ``numpy``) pins the
-choice for tests and CI; an unavailable pinned backend resolves to
-``numpy``, never to an error — the tier degrades, it does not fail.
+``REPRO_KERNEL_BACKEND`` (``cc`` / ``numpy``) pins the choice for tests
+and CI; an unavailable or unrecognized pin resolves to ``numpy``, never
+to an error — the tier degrades, it does not fail.
 """
 
 from __future__ import annotations
@@ -35,12 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.semiring.tropical import NEG_INF
-
 __all__ = ["Backend", "get_backend", "reset_backend_cache", "traceback"]
 
-#: The block primitives, shared verbatim by the cc build and (as the
-#: reference semantics) the numba build.  Plain IEEE double arithmetic;
+#: The block primitives of the cc build.  Plain IEEE double arithmetic;
 #: tie-breaking matches the dense kernels exactly (Viterbi: branch 0 on
 #: equal candidates = NumPy argmax; banded: diagonal wins ties, scan
 #: keeps the earliest running max).
@@ -108,15 +102,13 @@ int64_t traceback(const int64_t *P, int64_t k, int64_t W, int64_t x,
      [6] vs0  diag-move source start in the input band
      [7]      pad (alignment)
    MS: (k, Wmax) match scores, row r valid on [d0, d1).
-   Outputs are (k, Wmax) row-major padded; optional capture planes
-   entry/epred/cm/estar (NULL to skip) feed BandedStageState. */
+   Outputs are (k, Wmax) row-major padded; entry / epred are one
+   (Wmax,) scratch row each, reused by every row. */
 void banded_block(const double *v0, int64_t k, int64_t Wmax,
                   const int64_t *geom, const double *MS,
                   double gu, double g, double neg_inf,
                   double *out_s, int64_t *out_p,
-                  double *entry_out, int64_t *epred_out,
-                  double *cm_out, int64_t *estar_out,
-                  double *scratch_entry, int64_t *scratch_epred)
+                  double *entry, int64_t *epred)
 {
     const double *vin = v0;
     for (int64_t r = 0; r < k; r++) {
@@ -124,8 +116,6 @@ void banded_block(const double *v0, int64_t k, int64_t Wmax,
         int64_t W = gm[0], u0 = gm[1], u1 = gm[2], us0 = gm[3];
         int64_t d0 = gm[4], d1 = gm[5], vs0 = gm[6];
         const double *ms = MS + r * Wmax;
-        double *entry = entry_out ? entry_out + r * Wmax : scratch_entry;
-        int64_t *epred = epred_out ? epred_out + r * Wmax : scratch_epred;
         for (int64_t j = 0; j < W; j++) { entry[j] = neg_inf; epred[j] = 0; }
         for (int64_t j = u0; j < u1; j++) {
             entry[j] = vin[us0 + (j - u0)] - gu;
@@ -144,8 +134,6 @@ void banded_block(const double *v0, int64_t k, int64_t Wmax,
             double t = entry[j] + gj;
             if (j == 0) { cm = t; es = 0; }
             else if (t > cm) { cm = t; es = j; }
-            if (cm_out) cm_out[r * Wmax + j] = cm;
-            if (estar_out) estar_out[r * Wmax + j] = es;
             os[j] = cm - gj;
             op[j] = epred[es];
         }
@@ -158,7 +146,7 @@ void banded_block(const double *v0, int64_t k, int64_t Wmax,
 class Backend:
     """Resolved block primitives; ``None`` entries mean pure-NumPy."""
 
-    kind: str  # "numba" | "cc" | "numpy"
+    kind: str  # "cc" | "numpy"
     viterbi_block: object = None
     banded_block: object = None
     traceback: object = None
@@ -184,7 +172,7 @@ def _wrap_cc(lib: ctypes.CDLL) -> Backend:
     ctb.argtypes = [P, I, I, I, P, P]
     cbb = lib.banded_block
     cbb.restype = None
-    cbb.argtypes = [P, I, I, P, P, D, D, D, P, P, P, P, P, P, P, P]
+    cbb.argtypes = [P, I, I, P, P, D, D, D, P, P, P, P]
 
     def viterbi_block(v0, M, perm, pred0, out_s, out_p):
         k, S = out_s.shape
@@ -195,17 +183,13 @@ def _wrap_cc(lib: ctypes.CDLL) -> Backend:
         k, W = P.shape
         return ctb(_ptr(P), k, W, x, _ptr(ref), _ptr(out))
 
-    def banded_block(v0, geom, MS, gu, g, neg_inf, out_s, out_p,
-                     entry_out=None, epred_out=None, cm_out=None, estar_out=None):
+    def banded_block(v0, geom, MS, gu, g, neg_inf, out_s, out_p):
         k, Wmax = out_s.shape
-        scratch_e = scratch_p = None
-        if entry_out is None:
-            scratch_e = np.empty(Wmax, dtype=np.float64)
-            scratch_p = np.empty(Wmax, dtype=np.int64)
+        entry = np.empty(Wmax, dtype=np.float64)
+        epred = np.empty(Wmax, dtype=np.int64)
         cbb(
             _ptr(v0), k, Wmax, _ptr(geom), _ptr(MS), gu, g, neg_inf,
-            _ptr(out_s), _ptr(out_p), _ptr(entry_out), _ptr(epred_out),
-            _ptr(cm_out), _ptr(estar_out), _ptr(scratch_e), _ptr(scratch_p),
+            _ptr(out_s), _ptr(out_p), _ptr(entry), _ptr(epred),
         )
 
     return Backend(kind="cc", viterbi_block=viterbi_block,
@@ -243,112 +227,6 @@ def _try_cc() -> Backend | None:
             os.replace(tmp, so_path)
         return _wrap_cc(ctypes.CDLL(str(so_path)))
     except (OSError, subprocess.SubprocessError):
-        return None
-
-
-def _try_numba() -> Backend | None:
-    try:
-        import numba
-    except ImportError:
-        return None
-    try:
-        @numba.njit(cache=False, fastmath=False)
-        def viterbi_block(v0, M, perm, pred0, out_s, out_p):  # pragma: no cover - needs numba
-            k, S = out_s.shape
-            vin = v0
-            zero_row = -1
-            for t in range(k):
-                live = False
-                for s in range(S):
-                    c0 = vin[perm[s]] + M[t, s]
-                    c1 = vin[perm[S + s]] + M[t, S + s]
-                    gt = c1 > c0
-                    best = c1 if gt else c0
-                    out_s[t, s] = best
-                    out_p[t, s] = pred0[s] + gt
-                    if best != NEG_INF:
-                        live = True
-                if not live and zero_row < 0:
-                    zero_row = t
-                vin = out_s[t]
-            return zero_row
-
-        @numba.njit(cache=False)
-        def _traceback_core(P, x, out, ref, has_ref):  # pragma: no cover - needs numba
-            k, W = P.shape
-            for r in range(k - 1, -1, -1):
-                if x < 0 or x >= W:
-                    return -2
-                x = P[r, x]
-                out[r] = x
-                if has_ref and ref[r] == x:
-                    return r
-            return -1
-
-        def traceback(P, x, out, ref):  # pragma: no cover - needs numba
-            if ref is None:
-                return _traceback_core(P, x, out, out, False)
-            return _traceback_core(P, x, out, ref, True)
-
-        @numba.njit(cache=False, fastmath=False)
-        def _banded_core(v0, geom, MS, gu, g, neg_inf, out_s, out_p,
-                         entry_pl, epred_pl, cm_pl, estar_pl, capture):  # pragma: no cover - needs numba
-            k, Wmax = out_s.shape
-            vin = v0
-            for r in range(k):
-                W, u0, u1, us0, d0, d1, vs0 = (
-                    geom[r, 0], geom[r, 1], geom[r, 2], geom[r, 3],
-                    geom[r, 4], geom[r, 5], geom[r, 6],
-                )
-                entry = entry_pl[r] if capture else entry_pl[0]
-                epred = epred_pl[r] if capture else epred_pl[0]
-                for j in range(W):
-                    entry[j] = neg_inf
-                    epred[j] = 0
-                for j in range(u0, u1):
-                    entry[j] = vin[us0 + (j - u0)] - gu
-                    epred[j] = us0 + (j - u0)
-                for j in range(d0, d1):
-                    dv = vin[vs0 + (j - d0)] + MS[r, j]
-                    if dv >= entry[j]:
-                        entry[j] = dv
-                        epred[j] = vs0 + (j - d0)
-                cm = 0.0
-                es = 0
-                for j in range(W):
-                    gj = g * float(j)
-                    t = entry[j] + gj
-                    if j == 0 or t > cm:
-                        cm = t
-                        es = j
-                    if capture:
-                        cm_pl[r, j] = cm
-                        estar_pl[r, j] = es
-                    out_s[r, j] = cm - gj
-                    out_p[r, j] = epred[es]
-                vin = out_s[r]
-
-        def banded_block(v0, geom, MS, gu, g, neg_inf, out_s, out_p,
-                         entry_out=None, epred_out=None, cm_out=None, estar_out=None):  # pragma: no cover - needs numba
-            k, Wmax = out_s.shape
-            capture = entry_out is not None
-            if not capture:
-                entry_out = np.empty((1, Wmax), dtype=np.float64)
-                epred_out = np.empty((1, Wmax), dtype=np.int64)
-                cm_out = np.empty((1, 1), dtype=np.float64)
-                estar_out = np.empty((1, 1), dtype=np.int64)
-            _banded_core(v0, geom, MS, gu, g, neg_inf, out_s, out_p,
-                         entry_out, epred_out, cm_out, estar_out, capture)
-
-        # Force compilation now so a broken numba install degrades here,
-        # not inside a worker mid-solve.
-        _v = np.zeros(1)
-        viterbi_block(_v, np.zeros((1, 2)), np.zeros(2, np.int64),
-                      np.zeros(1, np.int64), np.zeros((1, 1)), np.zeros((1, 1), np.int64))
-        traceback(np.zeros((1, 1), np.int64), 0, np.zeros(1, np.int64), None)
-        return Backend(kind="numba", viterbi_block=viterbi_block,
-                       banded_block=banded_block, traceback=traceback)
-    except Exception:
         return None
 
 
@@ -394,8 +272,6 @@ def get_backend() -> Backend:
     forced = os.environ.get("REPRO_KERNEL_BACKEND", "").strip().lower()
     if forced == "numpy":
         backend = _NUMPY
-    elif forced == "numba":
-        backend = _try_numba() or _NUMPY
     elif forced == "cc":
         backend = _try_cc() or _NUMPY
     elif forced:
@@ -403,7 +279,7 @@ def get_backend() -> Backend:
         # silently auto-detecting something the caller didn't ask for.
         backend = _NUMPY
     else:
-        backend = _try_numba() or _try_cc() or _NUMPY
+        backend = _try_cc() or _NUMPY
     _RESOLVED.append(backend)
     return backend
 

@@ -6,9 +6,9 @@ table, and the per-row match scores become one padded ``(n, Wmax)``
 float64 matrix — built vectorized from the concrete problem's own
 scoring formula and therefore entry-for-entry identical to
 ``match_score``.  One dispatch then sweeps a whole stage-block of the
-entry + left-gap-scan recurrence, with optional capture planes feeding
-:class:`~repro.problems.alignment.banded.BandedStageState` for §4.7
-delta fix-up.
+entry + left-gap-scan recurrence and returns stage vectors and
+predecessors only; the §4.7 per-stage state stays with the problem's
+own per-stage kernels.
 
 Registered only for the *concrete* classes ``LCSProblem`` and
 ``NeedlemanWunschProblem``: any subclass (which could override
@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.kernels.backend import get_backend
 from repro.kernels.base import BlockSweep, StageBlockKernel
-from repro.problems.alignment.banded import BandedStageState, band_bounds
 from repro.semiring.tropical import NEG_INF
 
 __all__ = ["BandedBlockKernel"]
@@ -116,8 +115,7 @@ class BandedBlockKernel(StageBlockKernel):
         "match_score on the first and last rows; per call the input width "
         "must equal the stage-lo band width and the registry cross-checks "
         "the first, a seeded interior and the last kernel-computed block "
-        "stages (values, preds, "
-        "and capture state) against the dense kernel bit-for-bit; the "
+        "stages (values and preds) against the dense kernel bit-for-bit; the "
         "width-1 selector stage always runs dense"
     )
 
@@ -204,7 +202,7 @@ class BandedBlockKernel(StageBlockKernel):
             integral=integral,
         )
 
-    def run(self, problem, plan, lo, hi, v, *, capture_state=False):
+    def run(self, problem, plan, lo, hi, v):
         if lo >= plan.n:
             return None  # selector-only range
         v = np.asarray(v)
@@ -217,25 +215,16 @@ class BandedBlockKernel(StageBlockKernel):
         # -inf" is one pass over the block.
         out_s = np.full((k + tail, Wmax), NEG_INF, dtype=np.float64)
         out_p = np.zeros((k + tail, Wmax), dtype=np.int64)
-        entry_pl = epred_pl = cm_pl = estar_pl = None
-        if capture_state:
-            entry_pl = np.zeros((k, Wmax), dtype=np.float64)
-            epred_pl = np.zeros((k, Wmax), dtype=np.int64)
-            cm_pl = np.zeros((k, Wmax), dtype=np.float64)
-            estar_pl = np.zeros((k, Wmax), dtype=np.int64)
         geom = plan.geom[lo : lo + k]
         MS = plan.MS[lo : lo + k]
         backend = get_backend()
         if backend.banded_block is not None:
             backend.banded_block(
                 np.ascontiguousarray(v), geom, MS, plan.gu, plan.g, NEG_INF,
-                out_s[:k], out_p[:k], entry_pl, epred_pl, cm_pl, estar_pl,
+                out_s[:k], out_p[:k],
             )
         else:
-            self._run_numpy(
-                plan, geom, MS, v, out_s[:k], out_p[:k],
-                entry_pl, epred_pl, cm_pl, estar_pl,
-            )
+            self._run_numpy(plan, geom, MS, v, out_s[:k], out_p[:k])
         widths = plan.widths[lo + 1 : lo + 1 + k]
         if tail:
             widths = np.append(widths, 1)  # the width-1 selector stage
@@ -245,37 +234,13 @@ class BandedBlockKernel(StageBlockKernel):
             values=out_s,
             preds=out_p,
             widths=widths,
-            states=None,
             costs=plan.costs[lo : lo + k],
             zero_index=zero_index,
             dense_tail=tail,
         )
-        if capture_state:
-            states = []
-            vin = v
-            for r in range(k):
-                W = int(widths[r])
-                states.append(
-                    BandedStageState(
-                        in_vec=vin,
-                        entry=entry_pl[r, :W],
-                        epred=epred_pl[r, :W],
-                        cm=cm_pl[r, :W],
-                        estar=estar_pl[r, :W],
-                        out=sweep.value(r),
-                        pred=sweep.pred(r),
-                    )
-                )
-                vin = sweep.value(r)
-            sweep.states = states
         if tail:
-            # Width-1 selector stage: dense (and its sentinel state).
-            last = sweep.value(k - 1)
-            if capture_state:
-                tv, tp, ts = problem.apply_stage_with_state(plan.n + 1, last)
-                sweep.states.append(ts)
-            else:
-                tv, tp = problem.apply_stage_with_pred(plan.n + 1, last)
+            # Width-1 selector stage: dense.
+            tv, tp = problem.apply_stage_with_pred(plan.n + 1, sweep.value(k - 1))
             out_s[k, :1] = tv
             out_p[k, :1] = tp
             sweep.costs = np.concatenate([sweep.costs, plan.costs[-1:]])
@@ -284,7 +249,7 @@ class BandedBlockKernel(StageBlockKernel):
         return sweep
 
     @staticmethod
-    def _run_numpy(plan, geom, MS, v, out_s, out_p, entry_pl, epred_pl, cm_pl, estar_pl):
+    def _run_numpy(plan, geom, MS, v, out_s, out_p):
         """Row loop over preplanned geometry — the dense ops without the
         per-stage band/score recomputation (blocked NumPy fallback)."""
         g, gu = plan.g, plan.gu
@@ -315,11 +280,6 @@ class BandedBlockKernel(StageBlockKernel):
                 vals = cm - g * idx
                 out_s[r, :W] = vals
                 out_p[r, :W] = epred[estar]
-                if entry_pl is not None:
-                    entry_pl[r, :W] = entry
-                    epred_pl[r, :W] = epred
-                    cm_pl[r, :W] = cm
-                    estar_pl[r, :W] = estar
                 vin = out_s[r, :W]
 
     def price(self, problem, plan, path):

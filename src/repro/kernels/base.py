@@ -7,8 +7,9 @@ at run time it sweeps a whole ``(lo .. hi]`` stage-block through a
 vectorized add-compare-select loop — compiled when a backend is
 available (:mod:`repro.kernels.backend`), pure NumPy otherwise.
 
-The tier is an *optimization*, never a semantic: every kernel is gated
-exactly like the PR 5 sparse fix-up kernel.  Plans are only built when
+The tier is an *optimization*, never a semantic: it computes stage
+vectors and predecessors only, and every result is proven against the
+dense per-stage kernel.  Plans are only built when
 the problem's transforms are provably representable in the kernel's
 layout; every dispatch re-checks its input against the dense kernel's
 expectations and returns ``None`` (automatic dense fallback) on any
@@ -49,8 +50,6 @@ class BlockSweep:
     preds: np.ndarray
     #: Per-row widths (int64), or ``None`` when every row spans ``W``.
     widths: np.ndarray | None
-    #: Per-stage §4.7 kernel states (``None`` unless capture was requested).
-    states: list | None
     #: Per-stage modeled work, identical to ``problem.stage_cost(i)``.
     costs: np.ndarray
     #: Offset of the first all-0̄ stage in the block (``None`` if none) —
@@ -113,7 +112,7 @@ class StageBlockKernel:
         """
         raise NotImplementedError
 
-    def run(self, problem, plan, lo: int, hi: int, v: np.ndarray, *, capture_state: bool = False) -> BlockSweep | None:
+    def run(self, problem, plan, lo: int, hi: int, v: np.ndarray) -> BlockSweep | None:
         """Sweep stages ``lo+1 .. hi`` from input ``v``.
 
         Returns ``None`` whenever any per-call gate fails (input shape

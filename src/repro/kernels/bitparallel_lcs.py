@@ -11,9 +11,9 @@ represents rows whose consecutive differences are exactly ``{0, 1}``
 (true LCS rows; the random fix-up seed vectors of far processors fail
 this and fall through to the banded kernel / dense path).  After the
 bit sweep, the decoded rows are pushed through a row-vectorized replica
-of the dense entry+scan ops, which (a) yields predecessors and §4.7
-capture planes bit-identical to the dense kernel and (b) re-derives
-every row's values; the sweep is accepted only if the scan values match
+of the dense entry+scan ops, which (a) yields predecessors
+bit-identical to the dense kernel and (b) re-derives every row's
+values; the sweep is accepted only if the scan values match
 the decoded values byte-for-byte — an inductive per-call proof of the
 whole block, stage by stage, starting from the caller's input vector.
 """
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.kernels.base import BlockSweep, StageBlockKernel
-from repro.problems.alignment.banded import BandedStageState
 from repro.problems.alignment.bitparallel import build_match_masks
 from repro.semiring.tropical import NEG_INF
 
@@ -106,7 +105,7 @@ class BitParallelLCSKernel(StageBlockKernel):
             selector_source=int(problem._selector_source()),
         )
 
-    def run(self, problem, plan, lo, hi, v, *, capture_state=False):
+    def run(self, problem, plan, lo, hi, v):
         m = plan.m
         if lo >= plan.n:
             return None
@@ -147,8 +146,8 @@ class BitParallelLCSKernel(StageBlockKernel):
         )
 
         # Dense-op replay (row-vectorized _entry_values + _scan with the
-        # LCS gaps gu = g = 0.0 applied literally): predecessors, capture
-        # planes, and the exactness cross-check all come from here.
+        # LCS gaps gu = g = 0.0 applied literally): the predecessors and
+        # the exactness cross-check both come from here.
         vin_rows = np.empty((k, m + 1), dtype=np.float64)
         vin_rows[0] = v
         vin_rows[1:] = decoded[:-1]
@@ -179,30 +178,12 @@ class BitParallelLCSKernel(StageBlockKernel):
             values=values,
             preds=preds,
             widths=None,
-            states=None,
             costs=plan.costs[lo : lo + k],
             zero_index=None,  # every row is finite by the diff gate
             dense_tail=tail,
         )
-        if capture_state:
-            sweep.states = [
-                BandedStageState(
-                    in_vec=vin_rows[r],
-                    entry=entry[r],
-                    epred=epred[r],
-                    cm=cm[r],
-                    estar=estar[r],
-                    out=values[r],
-                    pred=preds[r],
-                )
-                for r in range(k)
-            ]
         if tail:
-            if capture_state:
-                tv, tp, ts = problem.apply_stage_with_state(plan.n + 1, values[k - 1])
-                sweep.states.append(ts)
-            else:
-                tv, tp = problem.apply_stage_with_pred(plan.n + 1, values[k - 1])
+            tv, tp = problem.apply_stage_with_pred(plan.n + 1, values[k - 1])
             values[k, :1] = tv
             values[k, 1:] = NEG_INF
             preds[k, :1] = tp

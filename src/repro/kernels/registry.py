@@ -10,11 +10,11 @@ Every accepted dispatch is re-proven: :func:`block_sweep` recomputes
 the first block stage, one interior stage chosen by a hash of the range
 and the last kernel-computed stage (the latter two from the sweep's own
 previous stage) with the problem's own dense per-stage kernel and
-compares values byte-for-byte (catching even ``-0.0`` sign flips),
-predecessors exactly, and — when §4.7 capture is on — every
-captured state plane.  Any disagreement silently discards the sweep
+compares values byte-for-byte (catching even ``-0.0`` sign flips) and
+predecessors exactly.  Any disagreement silently discards the sweep
 and the caller runs the dense loop, which also owns raising proper
-errors for genuinely invalid inputs.
+errors for genuinely invalid inputs.  A sweep carries no §4.7 stage
+state: that format belongs to the problem's per-stage kernels.
 """
 
 from __future__ import annotations
@@ -96,28 +96,17 @@ def warm_kernels(problem) -> int:
     return built
 
 
-def _stage_matches(problem, i, v, sweep, r, capture_state) -> bool:
+def _stage_matches(problem, i, v, sweep, r) -> bool:
     """Re-derive stage ``i`` (sweep row ``r``) densely from input ``v``."""
     try:
-        if capture_state:
-            dv, dp, ds = problem.apply_stage_with_state(i, v)
-        else:
-            dv, dp = problem.apply_stage_with_pred(i, v)
-            ds = None
+        dv, dp = problem.apply_stage_with_pred(i, v)
     except Exception:
         return False  # dense path owns raising this properly, in context
     kv = sweep.value(r)
     kp = sweep.pred(r)
     if kv.shape != dv.shape or kv.tobytes() != dv.tobytes():
         return False
-    if not np.array_equal(kp, dp):
-        return False
-    if capture_state:
-        if sweep.states is None or len(sweep.states) <= r:
-            return False
-        if not _states_equal(sweep.states[r], ds):
-            return False
-    return True
+    return np.array_equal(kp, dp)
 
 
 def _spot_row(lo: int, hi: int, last: int) -> int:
@@ -130,44 +119,23 @@ def _spot_row(lo: int, hi: int, last: int) -> int:
     return 1 + ((lo * 2654435761 + hi * 40503) % (last - 1))
 
 
-def _sweep_matches(problem, lo, hi, v, sweep, capture_state) -> bool:
+def _sweep_matches(problem, lo, hi, v, sweep) -> bool:
     """The dispatch gate: first, one seeded interior, and last
     kernel-computed stages, each re-derived from the sweep's own
     previous row (the first from ``v``)."""
-    if not _stage_matches(problem, lo + 1, v, sweep, 0, capture_state):
+    if not _stage_matches(problem, lo + 1, v, sweep, 0):
         return False
     last = len(sweep) - 1 - sweep.dense_tail
     if last < 1:
         return True
     rows = (_spot_row(lo, hi, last), last) if last > 1 else (last,)
     return all(
-        _stage_matches(
-            problem, lo + 1 + r, sweep.value(r - 1), sweep, r, capture_state
-        )
+        _stage_matches(problem, lo + 1 + r, sweep.value(r - 1), sweep, r)
         for r in rows
     )
 
 
-def _states_equal(kernel_state, dense_state) -> bool:
-    """Field-wise byte comparison; sentinel states compare by equality."""
-    if not hasattr(dense_state, "__dataclass_fields__"):
-        return kernel_state == dense_state
-    if type(kernel_state) is not type(dense_state):
-        return False
-    for field in dense_state.__dataclass_fields__:
-        da = getattr(dense_state, field)
-        ka = getattr(kernel_state, field)
-        if isinstance(da, np.ndarray):
-            if np.shape(ka) != da.shape:
-                return False
-            if np.ascontiguousarray(ka).tobytes() != np.ascontiguousarray(da).tobytes():
-                return False
-        elif ka != da:
-            return False
-    return True
-
-
-def block_sweep(problem, lo: int, hi: int, v, *, capture_state: bool = False) -> BlockSweep | None:
+def block_sweep(problem, lo: int, hi: int, v) -> BlockSweep | None:
     """One fast-path dispatch over stages ``lo+1 .. hi``, or ``None``.
 
     Tries each registered kernel in order; a sweep is returned only
@@ -180,12 +148,12 @@ def block_sweep(problem, lo: int, hi: int, v, *, capture_state: bool = False) ->
         if plan is None:
             continue
         try:
-            sweep = kernel.run(problem, plan, lo, hi, v, capture_state=capture_state)
+            sweep = kernel.run(problem, plan, lo, hi, v)
         except Exception:
             sweep = None
         if sweep is None or not len(sweep):
             continue
-        if _sweep_matches(problem, lo, hi, v, sweep, capture_state):
+        if _sweep_matches(problem, lo, hi, v, sweep):
             return sweep
     return None
 
@@ -207,7 +175,7 @@ def price_path_fast(problem, path) -> float | None:
 
 
 def kernel_tier_enabled(opts, problem) -> bool:
-    """Gate mirroring the PR 5 sparse fix-up kernel's selection shape.
+    """Whether a solve with ``opts`` dispatches ``problem`` through the tier.
 
     ``opts.use_kernels`` is a tri-state: ``False`` forces the dense
     path, ``True`` forces the tier on (overriding the ``REPRO_KERNELS``

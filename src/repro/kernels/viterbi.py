@@ -149,9 +149,7 @@ class ViterbiBlockKernel(StageBlockKernel):
         table[:, S:] = bm[:, :, 1]
         return table, codes.reshape(-1)
 
-    def run(self, problem, plan, lo, hi, v, *, capture_state=False):
-        if capture_state:
-            return None  # trellis problems have no §4.7 sparse state
+    def run(self, problem, plan, lo, hi, v):
         if lo >= plan.n_sym:
             return None  # selector-only range: dense handles it
         v = np.asarray(v)
@@ -189,7 +187,6 @@ class ViterbiBlockKernel(StageBlockKernel):
             values=out_s,
             preds=out_p,
             widths=widths,
-            states=None,
             costs=costs,
             zero_index=zero_index,
             dense_tail=tail,

@@ -243,7 +243,9 @@ class ForwardInitSpec(SuperstepSpec):
     nz_integer: bool = True
     #: Cache each stage's kernel evaluation state for later sparse
     #: fix-up (set when the problem has a sparse kernel and delta mode
-    #: is on).  Costs memory, never changes the computed vectors.
+    #: is on).  Only the per-stage loop captures; a kernel-tier sweep
+    #: stores no state, and the fix-up recomputes such stages densely
+    #: with capture.  Never changes the computed vectors.
     capture_state: bool = False
     #: Dispatch the whole range through the raw-speed kernel tier when a
     #: registered kernel accepts it (bit-identical by gate; see
@@ -265,9 +267,7 @@ class ForwardInitSpec(SuperstepSpec):
         if self.use_kernels:
             from repro.kernels import block_sweep
 
-            sweep = block_sweep(
-                problem, self.lo, self.hi, v, capture_state=self.capture_state
-            )
+            sweep = block_sweep(problem, self.lo, self.hi, v)
             if sweep is not None:
                 if sweep.zero_index is not None:
                     raise ZeroVectorError(
@@ -275,16 +275,12 @@ class ForwardInitSpec(SuperstepSpec):
                         "all--inf vector in the forward pass"
                     )
                 start = self.lo + 1
-                states = {}
-                if self.capture_state:
-                    states = dict(zip(self.stages(), sweep.states))
                 return SpecResult(
                     proc=self.proc,
                     work=_accumulate(0.0, sweep.costs),
                     s_blocks=[StageBlock(start, sweep.values, sweep.widths)],
                     pred_blocks=[StageBlock(start, sweep.preds, sweep.widths)],
                     boundary=sweep.value(len(sweep) - 1),
-                    fixup_state_updates=states,
                 )
         out_s: list[np.ndarray] = []
         out_pred: list[np.ndarray] = []
@@ -326,17 +322,20 @@ class ForwardFixupSpec(SuperstepSpec):
     into the spec.
 
     With ``use_kernels`` the range is swept in growing block-kernel
-    chunks that stop at the first chunk holding a converged stage
-    (capturing §4.7 state when ``sparse``); the per-stage loop is the
-    fallback when a kernel declines a chunk.  On that loop, in
-    delta mode (``use_delta``), problems with a sparse kernel
-    (``sparse``) propagate only the changed positions through each
-    resident stage via
+    chunks that stop at the first chunk holding a converged stage; the
+    per-stage loop is the fallback when a kernel declines a chunk.  A
+    block sweep is dense and leaves the resident §4.7 state alone.  On
+    the per-stage loop, in delta mode (``use_delta``), problems with a
+    sparse kernel (``sparse``) propagate only the changed positions
+    through each resident stage via
     :meth:`~repro.ltdp.problem.LTDPProblem.apply_stage_sparse`, falling
-    back to the dense kernel past the ``crossover`` changed fraction.
-    Sparse-kernel problems charge the cells actually computed on either
-    path (full stages on a block sweep); delta-mode sweeps of problems
-    without a sparse kernel charge the modeled §4.7 cost
+    back to the dense kernel past the ``crossover`` changed fraction and
+    recomputing densely, with capture, any stage with no resident state.
+    A resident state a block sweep has since superseded is still one
+    complete evaluation of its stage, so repairing against it stays
+    exact.  Sparse-kernel problems charge the cells actually computed on
+    either path (full stages on a block sweep); delta-mode sweeps of
+    problems without a sparse kernel charge the modeled §4.7 cost
     (:func:`~repro.ltdp.delta.delta_fixup_work`).
     """
 
@@ -353,9 +352,8 @@ class ForwardFixupSpec(SuperstepSpec):
     #: Changed-input fraction above which the sparse kernel defers to
     #: the dense one.
     crossover: float = 0.25
-    #: Dispatch through the raw-speed kernel tier first.  In sparse mode
-    #: the block sweep captures fresh §4.7 state for every stage it
-    #: computes, so it needs none of the resident state.
+    #: Dispatch through the raw-speed kernel tier first.  A block sweep
+    #: is dense: it neither reads nor writes the resident §4.7 state.
     use_kernels: bool = False
 
     def is_converged(self, new: np.ndarray, stored: np.ndarray) -> bool:
@@ -449,7 +447,6 @@ class ForwardFixupSpec(SuperstepSpec):
 
         s_blocks: list[StageBlock] = []
         pred_blocks: list[StageBlock] = []
-        new_states: dict[int, object] = {}
         work = 0.0
         stages_done = 0
         converged = False
@@ -459,7 +456,7 @@ class ForwardFixupSpec(SuperstepSpec):
             hi = min(lo + size, self.hi)
             if self.hi - hi == 1:
                 hi = self.hi
-            sweep = block_sweep(problem, lo, hi, x, capture_state=self.sparse)
+            sweep = block_sweep(problem, lo, hi, x)
             if sweep is None:
                 return None
             stop = self._first_converged(store, lo, sweep)
@@ -476,8 +473,6 @@ class ForwardFixupSpec(SuperstepSpec):
                 s_blocks.append(new)
             elif stop:
                 s_blocks.append(new.sub(lo + 1, end - 1))  # not the converged row
-            if self.sparse:
-                new_states.update(zip(range(lo + 1, lo + 1 + rows), sweep.states))
             if charge_delta:
                 for i, nv in new.items():
                     work += delta_fixup_work(store.get_s(i), nv)
@@ -489,8 +484,7 @@ class ForwardFixupSpec(SuperstepSpec):
             converged = stop is not None
             lo, x, size = hi, sweep.value(len(sweep) - 1), 2 * size
         return self._result(
-            store, v, s_blocks, pred_blocks, new_states,
-            work, stages_done, converged,
+            store, v, s_blocks, pred_blocks, {}, work, stages_done, converged
         )
 
     def _first_converged(self, store, lo, sweep) -> int | None:

@@ -7,12 +7,10 @@ tests pin the registry mechanics (registration rules, exact-type
 lookup, plan-cache LRU, the tri-state ``use_kernels`` gate), the
 per-dispatch cross-check itself (a lying kernel is discarded), full
 block-vs-dense equality for every shipped kernel, and backend forcing
-via ``REPRO_KERNEL_BACKEND`` (cc / numba / numpy must agree to the
-byte; a missing compiler or numba degrades to numpy, never to an
+via ``REPRO_KERNEL_BACKEND`` (cc / numpy must agree to the byte; a
+missing compiler or an unrecognized pin degrades to numpy, never to an
 error).
 """
-
-import importlib.util
 
 import numpy as np
 import pytest
@@ -77,33 +75,25 @@ def build_problems() -> dict:
 PROBLEMS = build_problems()
 
 
-def dense_sweep(problem, lo, hi, v, capture):
-    vals, preds, states = [], [], []
+def dense_sweep(problem, lo, hi, v):
+    vals, preds = [], []
     for i in range(lo + 1, hi + 1):
-        if capture:
-            v, pr, st = problem.apply_stage_with_state(i, v)
-            states.append(st)
-        else:
-            v, pr = problem.apply_stage_with_pred(i, v)
+        v, pr = problem.apply_stage_with_pred(i, v)
         vals.append(v)
         preds.append(pr)
-    return vals, preds, states
+    return vals, preds
 
 
-def assert_sweep_matches_dense(problem, lo, hi, v, capture):
+def assert_sweep_matches_dense(problem, lo, hi, v):
     v = np.asarray(v, dtype=np.float64)
-    sweep = block_sweep(problem, lo, hi, v, capture_state=capture)
+    sweep = block_sweep(problem, lo, hi, v)
     assert sweep is not None, "every shipped problem family must plan a kernel"
-    dv, dp, ds = dense_sweep(problem, lo, hi, v, capture)
+    dv, dp = dense_sweep(problem, lo, hi, v)
     assert len(sweep) == len(dv)
     for r, dvr in enumerate(dv):
         assert sweep.value(r).tobytes() == dvr.tobytes(), f"values differ at stage offset {r}"
     for r, dpr in enumerate(dp):
         assert np.array_equal(sweep.pred(r), dpr), f"preds differ at stage offset {r}"
-    if capture:
-        assert sweep.states is not None
-        for r, (ks, dsr) in enumerate(zip(sweep.states, ds)):
-            assert kregistry._states_equal(ks, dsr), f"state differs at stage offset {r}"
     expected_costs = np.array(
         [problem.stage_cost(i) for i in range(lo + 1, hi + 1)]
     )
@@ -113,14 +103,11 @@ def assert_sweep_matches_dense(problem, lo, hi, v, capture):
 class TestBlockSweepBitIdentity:
     """Every kernel's full-block output equals the dense per-stage loop."""
 
-    @pytest.mark.parametrize("capture", [False, True])
     @pytest.mark.parametrize("name", list(PROBLEMS))
-    def test_initial_block_matches_dense(self, name, capture):
+    def test_initial_block_matches_dense(self, name):
         problem = PROBLEMS[name]
-        if capture and name.startswith("vit"):
-            pytest.skip("Viterbi has no sparse-kernel state capture")
         assert_sweep_matches_dense(
-            problem, 0, problem.num_stages, problem.initial_vector(), capture
+            problem, 0, problem.num_stages, problem.initial_vector()
         )
 
     @pytest.mark.parametrize("name", ["lcs-full", "lcs-banded", "nw", "vit-hard"])
@@ -130,7 +117,7 @@ class TestBlockSweepBitIdentity:
         lo = 10
         rng = np.random.default_rng(5)
         v = rng.uniform(-4.0, 2.0, problem.stage_width(lo))
-        assert_sweep_matches_dense(problem, lo, min(40, problem.num_stages), v, False)
+        assert_sweep_matches_dense(problem, lo, min(40, problem.num_stages), v)
 
     def test_unregistered_problem_gets_no_sweep(self):
         rng = np.random.default_rng(3)
@@ -153,9 +140,7 @@ class _ToyKernel(StageBlockKernel):
     def plan(self, problem):
         return "plan"
 
-    def run(self, problem, plan, lo, hi, v, *, capture_state=False):
-        if capture_state:
-            return None
+    def run(self, problem, plan, lo, hi, v):
         vals, preds = [], []
         cur = np.asarray(v, dtype=np.float64)
         for i in range(lo + 1, hi + 1):
@@ -166,7 +151,6 @@ class _ToyKernel(StageBlockKernel):
             values=np.array(vals),
             preds=np.array(preds),
             widths=None,
-            states=None,
             costs=np.full(hi - lo, float(len(np.asarray(v)))),
             zero_index=None,
         )
@@ -248,8 +232,8 @@ class _LastStageLiar(StageBlockKernel):
     def plan(self, problem):
         return self.inner.plan(problem)
 
-    def run(self, problem, plan, lo, hi, v, *, capture_state=False):
-        sweep = self.inner.run(problem, plan, lo, hi, v, capture_state=capture_state)
+    def run(self, problem, plan, lo, hi, v):
+        sweep = self.inner.run(problem, plan, lo, hi, v)
         if sweep is not None:
             last = len(sweep) - 1 - sweep.dense_tail
             bad = sweep.value(last)
@@ -274,23 +258,20 @@ class TestLastStageGate:
     """The gate re-derives the last kernel-computed stage from the
     sweep's own previous stage, so a kernel wrong only there is caught."""
 
-    @pytest.mark.parametrize("capture", [False, True])
     @pytest.mark.parametrize("name", ["lcs-full", "lcs-banded", "nw-sub", "vit-unterm"])
-    def test_lying_sweep_discarded(self, name, capture, last_stage_liars):
+    def test_lying_sweep_discarded(self, name, last_stage_liars):
         problem = PROBLEMS[name]
-        if capture and name.startswith("vit"):
-            pytest.skip("Viterbi has no sparse-kernel state capture")
         v = problem.initial_vector()
         for kernel in registered_kernels(type(problem)):
             plan = kernel.plan(problem)
             if plan is None:
                 continue
             # The first stage is honest: only the new check can refuse it.
-            sweep = kernel.run(problem, plan, 0, 30, v, capture_state=capture)
+            sweep = kernel.run(problem, plan, 0, 30, v)
             if sweep is not None:
-                assert kregistry._stage_matches(problem, 1, v, sweep, 0, capture)
-        assert block_sweep(problem, 0, 30, v, capture_state=capture) is None
-        assert block_sweep(problem, 0, problem.num_stages, v, capture_state=capture) is None
+                assert kregistry._stage_matches(problem, 1, v, sweep, 0)
+        assert block_sweep(problem, 0, 30, v) is None
+        assert block_sweep(problem, 0, problem.num_stages, v) is None
 
     @pytest.mark.parametrize("use_delta", [False, True])
     @pytest.mark.parametrize("name", ["lcs-full", "lcs-banded", "nw-sub", "vit-hard"])
@@ -316,8 +297,8 @@ class _InteriorStageLiar(_LastStageLiar):
         self.inner = inner
         self.name = f"interior-stage-liar/{inner.name}"
 
-    def run(self, problem, plan, lo, hi, v, *, capture_state=False):
-        sweep = self.inner.run(problem, plan, lo, hi, v, capture_state=capture_state)
+    def run(self, problem, plan, lo, hi, v):
+        sweep = self.inner.run(problem, plan, lo, hi, v)
         if sweep is not None:
             last = len(sweep) - 1 - sweep.dense_tail
             r = kregistry._spot_row(lo, hi, last)
@@ -362,9 +343,9 @@ class TestInteriorSpotGate:
             # First and last stages are honest: only the spot check refuses
             # (unless the spot row feeds the last one, which then fails too).
             last = len(sweep) - 1 - sweep.dense_tail
-            assert kregistry._stage_matches(problem, 1, v, sweep, 0, False)
+            assert kregistry._stage_matches(problem, 1, v, sweep, 0)
             last_ok = kregistry._stage_matches(
-                problem, 1 + last, sweep.value(last - 1), sweep, last, False
+                problem, 1 + last, sweep.value(last - 1), sweep, last
             )
             assert last_ok == (kregistry._spot_row(0, hi, last) < last - 1)
         assert block_sweep(problem, 0, hi, v) is None
@@ -484,17 +465,10 @@ def forced_backend(monkeypatch):
 class TestBackends:
     def test_auto_backend_resolves(self):
         reset_backend_cache()
-        assert get_backend().kind in ("cc", "numba", "numpy")
+        assert get_backend().kind in ("cc", "numpy")
 
     def test_numpy_can_be_forced(self, forced_backend):
         assert forced_backend("numpy").kind == "numpy"
-
-    def test_missing_numba_degrades_to_numpy(self, forced_backend):
-        backend = forced_backend("numba")
-        if importlib.util.find_spec("numba") is None:
-            assert backend.kind == "numpy"
-        else:
-            assert backend.kind == "numba"
 
     def test_unknown_backend_name_degrades_to_numpy(self, forced_backend):
         assert forced_backend("fortran").kind == "numpy"
@@ -510,10 +484,7 @@ class TestBackends:
         ref = block_sweep(problem, 0, hi, v0)
         assert ref is not None
 
-        for kind in ("cc", "numba"):
-            backend = forced_backend(kind)
-            if backend.kind == "numpy":
-                continue  # toolchain absent in this container
+        if forced_backend("cc").kind == "cc":  # else no C compiler here
             reset_plan_cache()
             got = block_sweep(problem, 0, hi, v0)
             assert got is not None
@@ -569,11 +540,11 @@ class TestViterbiTies:
         reset_plan_cache()
         problem = self.PROBLEM
         assert_sweep_matches_dense(
-            problem, 0, problem.num_stages, problem.initial_vector(), False
+            problem, 0, problem.num_stages, problem.initial_vector()
         )
         # And from a tied, non-initial boundary mid-packet.
         assert_sweep_matches_dense(
-            problem, 40, problem.num_stages, np.zeros(VOYAGER.num_states), False
+            problem, 40, problem.num_stages, np.zeros(VOYAGER.num_states)
         )
         reset_plan_cache()
 

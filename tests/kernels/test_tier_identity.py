@@ -98,9 +98,9 @@ class TestTierAxis:
     @pytest.mark.parametrize("name", ["lcs", "nw"])
     def test_tier_composes_with_delta_mode(self, name, kind, dense_baselines):
         """With ``use_kernels=True`` the block path covers the initial
-        pass and every fix-up round, §4.7 delta rounds included (the
-        sweep recaptures their sparse state).  The answer must match
-        the dense baseline."""
+        pass and every fix-up round, §4.7 delta rounds included (dense
+        sweeps that keep no sparse state).  The answer must match the
+        dense baseline."""
         ex = get_executor(kind, max_workers=2)
         try:
             got = solve_with(PROBLEMS[name], ex, use_kernels=True, use_delta=True)

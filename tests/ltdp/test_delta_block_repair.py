@@ -1,13 +1,18 @@
 """Block-kernel §4.7 fix-up against the per-stage sparse path.
 
 In delta mode :class:`ForwardFixupSpec` sweeps a whole range through
-the kernel tier, capturing fresh §4.7 state, and falls back to the
+the kernel tier, which keeps no §4.7 state, and falls back to the
 per-stage sparse kernel only when no block kernel accepts the range.
-Both paths must leave the resident store in the same state to the
-byte: the same stage vectors, predecessors, advertised boundary,
-convergence verdict and captured state planes.  Each case runs the same spec on two copies of
-one worker store, once with the tier on (and ``apply_stage_sparse``
-patched to raise, proving the block path ran) and once with it off.
+Both paths must write the same stage vectors, predecessors, advertised
+boundary and convergence verdict to the byte; the block path writes no
+state.  Each case runs the same spec on two copies of one worker
+store, once with the tier on (and ``apply_stage_sparse`` patched to
+raise, proving the block path ran) and once with it off.
+
+Whole delta-mode solves with the tier on must equal the sequential
+answer without one dense stage-with-state evaluation, and stay exact
+when the tier declines part of a fix-up and the sparse repair runs on
+resident state that earlier block sweeps have superseded.
 """
 
 import copy
@@ -16,8 +21,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.ltdp.engine.specs import ForwardFixupSpec, ForwardInitSpec
+import repro.kernels
+from repro.ltdp.engine.driver import ParallelOptions, solve_parallel
+from repro.ltdp.engine.specs import FIXUP_FIRST_CHUNK, ForwardFixupSpec, ForwardInitSpec
 from repro.ltdp.engine.store import WorkerStore
+from repro.ltdp.partition import partition_stages
+from repro.ltdp.sequential import solve_sequential
 from repro.problems.alignment.banded import BandedAlignmentProblem
 from repro.problems.alignment.lcs import LCSProblem
 from repro.problems.alignment.needleman_wunsch import NeedlemanWunschProblem
@@ -92,17 +101,6 @@ def _resident_store(problem):
     return store
 
 
-def _assert_same_state(a, b):
-    if not hasattr(b, "__dataclass_fields__"):
-        assert a == b  # selector sentinel
-        return
-    assert type(a) is type(b)
-    for name in b.__dataclass_fields__:
-        x, y = np.asarray(getattr(a, name)), np.asarray(getattr(b, name))
-        assert x.dtype == y.dtype and x.shape == y.shape, name
-        assert x.tobytes() == y.tobytes(), name
-
-
 def _assert_same_result(got, want):
     assert got.converged == want.converged
     assert got.stages_done == want.stages_done
@@ -112,9 +110,7 @@ def _assert_same_result(got, want):
         assert sorted(g) == sorted(w), field
         for i in w:
             assert np.asarray(g[i]).tobytes() == np.asarray(w[i]).tobytes(), (field, i)
-    assert sorted(got.fixup_state_updates) == sorted(want.fixup_state_updates)
-    for i, state in want.fixup_state_updates.items():
-        _assert_same_state(got.fixup_state_updates[i], state)
+    assert not got.fixup_state_updates  # a block sweep keeps no §4.7 state
     lo_g, in_g = got.fixup_input
     lo_w, in_w = want.fixup_input
     assert lo_g == lo_w and in_g.tobytes() == in_w.tobytes()
@@ -156,3 +152,128 @@ def test_sparse_fixup_spec(name, upstream, monkeypatch):
     spec = _spec(problem, _prefix(problem, LO))
     got, want = _run_both(problem, store, spec, monkeypatch)
     _assert_same_result(got, want)
+
+
+
+@pytest.mark.parametrize("name", list(PROBLEMS))
+def test_sparse_repair_on_state_a_block_sweep_superseded(name, monkeypatch):
+    """A block sweep rewrites the range's stage vectors but not its §4.7
+    state.  Each state is still one complete evaluation of its stage, so
+    a later per-stage sparse repair against it equals the dense
+    per-stage sweep to the byte."""
+    base = PROBLEMS[name]
+    store = _resident_store(base)
+    first = _mutated(base, [LO - 1], seed=1)
+    swept = _spec(first, _prefix(first, LO)).execute(first, store)
+    assert swept.s_blocks and not swept.fixup_state_updates
+    store.apply(swept)
+    second = _mutated(first, [LO - 2], seed=2)
+    spec = replace(_spec(second, _prefix(second, LO)), use_kernels=False)
+    dense_store = copy.deepcopy(store)
+    real = BandedAlignmentProblem.apply_stage_sparse
+    superseded = []  # stages repaired from a state older than their vector
+
+    def spy(self, i, v, state, crossover):
+        res = real(self, i, v, state, crossover)
+        if res is not None and state.out.tobytes() != store.get_s(i).tobytes():
+            superseded.append(i)
+        return res
+
+    with monkeypatch.context() as m:
+        m.setattr(BandedAlignmentProblem, "apply_stage_sparse", spy)
+        got = spec.execute(second, store)
+    want = replace(spec, use_delta=False, sparse=False).execute(second, dense_store)
+    assert superseded, "no stage was repaired from superseded state"
+    assert got.converged == want.converged
+    assert got.stages_done == want.stages_done
+    assert got.boundary.tobytes() == want.boundary.tobytes()
+    for field in ("s_rows", "pred_rows"):
+        g, w = getattr(got, field)(), getattr(want, field)()
+        assert sorted(g) == sorted(w), field
+        for i in w:
+            assert np.asarray(g[i]).tobytes() == np.asarray(w[i]).tobytes(), (field, i)
+
+# ----------------------------------------------------------------------
+# Whole delta-mode solves with the tier on.
+# ----------------------------------------------------------------------
+
+
+def _count_state_evaluations(monkeypatch):
+    """Count ``apply_stage_with_state`` calls on every banded problem."""
+    calls = []
+    real = BandedAlignmentProblem.apply_stage_with_state
+
+    def counting(self, i, v):
+        calls.append(i)
+        return real(self, i, v)
+
+    monkeypatch.setattr(BandedAlignmentProblem, "apply_stage_with_state", counting)
+    return calls
+
+
+def _delta_opts(procs, use_kernels=True):
+    return ParallelOptions(
+        num_procs=procs, seed=3, use_delta=True, use_kernels=use_kernels
+    )
+
+
+@pytest.mark.parametrize("procs", [2, 4])
+@pytest.mark.parametrize("name", ["lcs-banded", "lcs-full", "nw"])
+def test_tier_on_delta_solve_evaluates_no_stage_state(name, procs, monkeypatch):
+    """The tier computes stage vectors and predecessors only: neither
+    its sweeps nor its dispatch gate evaluate a stage with state."""
+    problem = PROBLEMS[name]
+    calls = _count_state_evaluations(monkeypatch)
+    got = solve_parallel(problem, _delta_opts(procs))
+    assert calls == []
+    want = solve_sequential(problem)
+    np.testing.assert_array_equal(got.path, want.path)
+    assert got.score == want.score
+
+
+def _long_problems():
+    """Unrelated sequences in a wide band: fix-ups run past one chunk."""
+    rng = np.random.default_rng(77)
+    a = rng.integers(0, 4, 320)
+    b = rng.integers(0, 4, 320)
+    return {
+        "lcs": LCSProblem(a, b, width=40),
+        "nw": NeedlemanWunschProblem(a, b, width=40),
+    }
+
+
+LONG_PROBLEMS = _long_problems()
+
+
+@pytest.mark.parametrize("procs", [2, 3])
+@pytest.mark.parametrize("name", list(LONG_PROBLEMS))
+def test_tier_declining_later_fixup_chunks_stays_exact(name, procs, monkeypatch):
+    """The tier accepts every initial sweep and the first chunk of each
+    fix-up but declines every later chunk, so those ranges re-run on
+    the per-stage sparse path against whatever resident state they
+    have: none after a block-swept initial pass, superseded after a
+    round whose first chunk converged."""
+    problem = LONG_PROBLEMS[name]
+    ranges = partition_stages(problem.num_stages, procs)
+    assert all(rg.hi - rg.lo > FIXUP_FIRST_CHUNK for rg in ranges)
+    starts = {rg.lo for rg in ranges}
+    real = repro.kernels.block_sweep
+    declined = []
+
+    def decline_later_chunks(problem, lo, hi, v):
+        if lo not in starts:
+            declined.append(lo)
+            return None
+        return real(problem, lo, hi, v)
+
+    monkeypatch.setattr(repro.kernels, "block_sweep", decline_later_chunks)
+    calls = _count_state_evaluations(monkeypatch)
+    got = solve_parallel(problem, _delta_opts(procs))
+    assert declined and calls, "the per-stage sparse path never ran"
+    base = solve_parallel(problem, _delta_opts(procs, use_kernels=False))
+    want = solve_sequential(problem)
+    np.testing.assert_array_equal(got.path, want.path)
+    assert got.score == want.score
+    np.testing.assert_array_equal(got.path, base.path)
+    assert got.metrics.forward_fixup_iterations == base.metrics.forward_fixup_iterations
+    assert got.metrics.fixup_stages == base.metrics.fixup_stages

@@ -4,9 +4,9 @@
 128, 256, ... stages and stops after the first chunk that holds a
 converged stage, so its wall-clock follows ``stages_done``.  Everything
 it returns must still equal the dense per-stage loop
-(``_execute_stages``): updates, predecessors, §4.7 state, work (same
-summation order), ``stages_done``, ``converged``, the advertised
-boundary, and the stage a ``ZeroVectorError`` names.
+(``_execute_stages``): updates, predecessors, work (same summation
+order), ``stages_done``, ``converged``, the advertised boundary, and
+the stage a ``ZeroVectorError`` names.  It returns no §4.7 state.
 
 The stored vectors are built so that the first stage parallel to the
 recomputed one is chosen by the test: inside chunk 1, on the last row
@@ -130,9 +130,7 @@ def assert_same_result(block, dense):
     assert sorted(block_p) == sorted(dense_p)
     for i, p in dense_p.items():
         assert np.array_equal(block_p[i], p)
-    assert sorted(block.fixup_state_updates) == sorted(dense.fixup_state_updates)
-    for i, st in dense.fixup_state_updates.items():
-        assert kregistry._states_equal(block.fixup_state_updates[i], st)
+    assert not block.fixup_state_updates  # a block sweep keeps no §4.7 state
     if dense.fixup_input is None:
         assert block.fixup_input is None
     else:
@@ -252,9 +250,7 @@ class _ReplayKernel(StageBlockKernel):
     def plan(self, problem):
         return "plan"
 
-    def run(self, problem, plan, lo, hi, v, *, capture_state=False):
-        if capture_state:
-            return None
+    def run(self, problem, plan, lo, hi, v):
         vals, preds = [], []
         for i in range(lo + 1, hi + 1):
             v, p = problem.apply_stage_with_pred(i, v)
@@ -265,7 +261,6 @@ class _ReplayKernel(StageBlockKernel):
             values=np.array(vals),
             preds=np.array(preds),
             widths=None,
-            states=None,
             costs=np.array([problem.stage_cost(i) for i in range(lo + 1, hi + 1)]),
             zero_index=zero[0] if zero else None,
         )
